@@ -74,7 +74,9 @@ tracecheck:
 # Differential proof of the pruned organization search: the full golden
 # grid through both the exhaustive reference and the pruned path under
 # -race, plus the bound-admissibility property test and the Pareto filter
-# equivalence. Run it whenever internal/array physics or search code moves.
+# equivalence, plus the resistivity memo's bit-identity, concurrent
+# first-use and bound tests. Run it whenever internal/array physics or
+# search code moves.
 prunecheck:
 	./scripts/prunecheck.sh
 

@@ -9,6 +9,7 @@ package coldtall
 import (
 	"context"
 	"io"
+	"sync"
 
 	"coldtall/internal/artifact"
 	"coldtall/internal/report"
@@ -23,6 +24,54 @@ const (
 	wlsigAccesses = 1 << 15
 	wlsigSeed     = 1
 )
+
+// wlsigRow is one profile's line of the wlsig artifact.
+type wlsigRow struct {
+	name               string
+	readFrac, seqFrac  float64
+	footprint          float64
+	reuseP50, reuseP90 int
+	sha                string
+}
+
+// wlsigCache holds the wlsig rows once computed. They depend only on the
+// static profile table and the pinned stream, so generating the 23 Zipf
+// streams again on every build would only reproduce them; a build that is
+// cancelled part-way caches nothing.
+var wlsigCache struct {
+	mu   sync.Mutex
+	rows []wlsigRow
+}
+
+// wlsigRows returns the wlsig rows, streaming each profile's signature on
+// the first call in the process.
+func wlsigRows(ctx context.Context) ([]wlsigRow, error) {
+	wlsigCache.mu.Lock()
+	defer wlsigCache.mu.Unlock()
+	if wlsigCache.rows != nil {
+		return wlsigCache.rows, nil
+	}
+	profiles := workload.Profiles()
+	rows := make([]wlsigRow, 0, len(profiles))
+	for _, p := range profiles {
+		if err := ctx.Err(); err != nil {
+			return nil, err
+		}
+		g, err := p.Generator(wlsigSeed)
+		if err != nil {
+			return nil, err
+		}
+		sig := signature.FromGenerator(g, wlsigAccesses)
+		rows = append(rows, wlsigRow{
+			name: p.Name, readFrac: sig.ReadFrac(), seqFrac: sig.SeqFrac(),
+			footprint: float64(sig.FootprintBytes()),
+			reuseP50:  int(sig.ReuseQuantile(0.5)), reuseP90: int(sig.ReuseQuantile(0.9)),
+			sha: sig.SHA256()[:16],
+		})
+	}
+	wlsigCache.rows = rows
+	return rows, nil
+}
 
 // Column kind shorthands for the descriptor tables below.
 func str(name string) report.Column { return report.Column{Name: name, Kind: report.String} }
@@ -363,18 +412,13 @@ var artifacts = artifact.MustNew(
 			num("footprint_bytes", "B"), count("reuse_p50"), count("reuse_p90"), str("sig_sha256"),
 		},
 		Build: func(ctx context.Context, s *Study, t *report.Table) error {
-			for _, p := range workload.Profiles() {
-				if err := ctx.Err(); err != nil {
-					return err
-				}
-				g, err := p.Generator(wlsigSeed)
-				if err != nil {
-					return err
-				}
-				sig := signature.FromGenerator(g, wlsigAccesses)
-				if err := t.Append(p.Name, wlsigAccesses, sig.ReadFrac(), sig.SeqFrac(),
-					float64(sig.FootprintBytes()), int(sig.ReuseQuantile(0.5)), int(sig.ReuseQuantile(0.9)),
-					sig.SHA256()[:16]); err != nil {
+			rows, err := wlsigRows(ctx)
+			if err != nil {
+				return err
+			}
+			for _, r := range rows {
+				if err := t.Append(r.name, wlsigAccesses, r.readFrac, r.seqFrac,
+					r.footprint, r.reuseP50, r.reuseP90, r.sha); err != nil {
 					return err
 				}
 			}

@@ -18,12 +18,13 @@ const boundSlack = 1 - 1e-9
 
 // boundContext precomputes the per-configuration scalars the admissible
 // lower-bound estimator needs: the device corner, the wire RC of all three
-// metal classes (each construction pays the Bloch–Grüneisen resistivity
-// integral — the bulk of a Characterize call), the port-widened cell
-// geometry, and the per-bit leakage/retention figures. Building it costs
-// about as much as one Characterize call; evaluating a bound against it is
-// pure arithmetic, which is what lets the pruned search test all 875
-// candidates for the price of a handful of full characterizations.
+// metal classes, the port-widened cell geometry, and the per-bit
+// leakage/retention figures. Building it costs about as much as the
+// organization-independent half of one Characterize call; evaluating a
+// bound against it is pure arithmetic — no allocation, no error
+// formatting, no copies of the config or corner — which is what lets the
+// pruned search test all 875 candidates for the price of a handful of full
+// characterizations.
 type boundContext struct {
 	cfg    Config
 	corner tech.DeviceCorner
@@ -46,7 +47,7 @@ type boundContext struct {
 // newBoundContext evaluates the organization-independent physics once. It
 // can only fail where Characterize would fail identically (corner or wire
 // construction), so a failure here means every candidate is infeasible.
-func newBoundContext(cfg Config) (boundContext, error) {
+func newBoundContext(cfg *Config) (boundContext, error) {
 	corner, err := cfg.Node.At(cfg.Temperature)
 	if err != nil {
 		return boundContext{}, err
@@ -68,7 +69,7 @@ func newBoundContext(cfg Config) (boundContext, error) {
 	cellW, cellH := c.Dimensions(cfg.Node.FeatureSize)
 	pf := math.Sqrt(cfg.portAreaFactor())
 	bc := boundContext{
-		cfg:        cfg,
+		cfg:        *cfg,
 		corner:     corner,
 		local:      local,
 		inter:      inter,
@@ -95,12 +96,12 @@ func newBoundContext(cfg Config) (boundContext, error) {
 // directly, the global stages (H-tree, in-bank route, vertical hops, wire
 // energies) through the same htree/inBankRoute code over wires the context
 // precomputed. What Characterize pays per call and the bound does not is
-// the Bloch–Grüneisen wire-resistivity integral behind each of its three
-// NewWireScaled constructions — organization-independent physics this
-// context evaluates once. The bound therefore tracks the true objective to
-// within floating-point association (then steps down by boundSlack), while
-// costing a few hundred nanoseconds against Characterize's hundreds of
-// microseconds:
+// the organization-independent physics this context evaluates once — the
+// device corner, the three wire constructions, the cell's leakage and
+// retention — plus building and returning the full Result. The bound
+// therefore tracks the true objective to within floating-point association
+// (then steps down by boundSlack), while costing a fraction of a
+// Characterize call and allocating nothing:
 //
 //	latency: all read stages, summed locally   <= ReadLatency
 //	energy:  all read/write terms              <= (Erd+Ewr)/2
@@ -112,9 +113,9 @@ func newBoundContext(cfg Config) (boundContext, error) {
 // search built on this bound selects bit-identical results; the property
 // test (bound_test.go) asserts admissibility directly over randomized
 // feasible configurations.
-func (bc *boundContext) lowerBound(org Organization, d derived, target Target) float64 {
-	c := bc.cfg.Cell
-	ar := areas(bc.cfg, org, d, bc.corner)
+func (bc *boundContext) lowerBound(org Organization, d *derived, target Target) float64 {
+	c := &bc.cfg.Cell
+	ar := areas(&bc.cfg, org, d, &bc.corner)
 
 	// Footprint needs no wires: delegate to the exact area model.
 	if target == OptimizeArea {
@@ -156,8 +157,8 @@ func (bc *boundContext) lowerBound(org Organization, d derived, target Target) f
 	// Global path: the H-tree and in-bank route derive from the area
 	// model's core footprint and the precomputed wires — the same code
 	// Characterize runs, minus the per-call wire construction.
-	tree := newHTreeWithWire(ar.core, d.banksPerDie, bc.corner, bc.global)
-	route := newInBankRouteWithWire(ar.core, d.banksPerDie, bc.corner, bc.inter)
+	tree := newHTreeWithWire(ar.core, d.banksPerDie, &bc.corner, &bc.global)
+	route := newInBankRouteWithWire(ar.core, d.banksPerDie, &bc.corner, &bc.inter)
 	treeDelay := tree.delay()
 	routeDelay := route.delay()
 	vertOnce := bc.cfg.Stack.VerticalDelay(tree.bufferR())

@@ -121,7 +121,7 @@ func (c Config) Validate() error {
 }
 
 // totalBits returns the stored bit count including ECC and tag overheads.
-func (c Config) totalBits() float64 {
+func (c *Config) totalBits() float64 {
 	bits := float64(c.CapacityBytes) * 8 * tagOverhead
 	if c.ECC {
 		bits *= eccOverhead
@@ -130,7 +130,7 @@ func (c Config) totalBits() float64 {
 }
 
 // blockBits returns the bits moved per access including ECC.
-func (c Config) blockBits() float64 {
+func (c *Config) blockBits() float64 {
 	bits := float64(c.BlockBytes) * 8
 	if c.ECC {
 		bits *= eccOverhead
@@ -139,10 +139,10 @@ func (c Config) blockBits() float64 {
 }
 
 // portAreaFactor widens the cell for extra ports.
-func (c Config) portAreaFactor() float64 { return 1 + 0.3*float64(c.Ports-1) }
+func (c *Config) portAreaFactor() float64 { return 1 + 0.3*float64(c.Ports-1) }
 
 // portCapFactor adds wordline/bitline loading for extra ports.
-func (c Config) portCapFactor() float64 { return 1 + 0.2*float64(c.Ports-1) }
+func (c *Config) portCapFactor() float64 { return 1 + 0.2*float64(c.Ports-1) }
 
 // Organization describes the internal structure the search explores.
 type Organization struct {
@@ -175,38 +175,74 @@ type derived struct {
 	totalSAs      float64
 }
 
-// derive validates the organization against the config and computes the
-// derived quantities.
-func (c Config) derive(o Organization) (derived, error) {
-	var d derived
+// infeasibility names the rule an organization breaks for a config; the
+// zero value means the organization is feasible. The search tests every
+// candidate against these rules, so the check reports a code and leaves
+// the wording to derive, which only callers that show it pay for.
+type infeasibility uint8
+
+const (
+	feasibleOrg infeasibility = iota
+	badBanks
+	matTooSmall
+	badColumnMux
+	fetchTooWide
+	bankTooSmall
+	tooFewBanks
+)
+
+// feasible validates the organization against the config and computes the
+// derived quantities. On failure d holds whatever was computed before the
+// failing rule, which derive uses to word the error.
+func (c *Config) feasible(o Organization) (d derived, why infeasibility) {
 	if o.Banks < 1 || o.Banks&(o.Banks-1) != 0 {
-		return d, fmt.Errorf("array: banks must be a positive power of two, got %d", o.Banks)
+		return d, badBanks
 	}
 	if o.Rows < 16 || o.Cols < 16 {
-		return d, fmt.Errorf("array: mat %dx%d too small", o.Rows, o.Cols)
+		return d, matTooSmall
 	}
 	if o.ColumnMux < 1 || o.ColumnMux > o.Cols {
-		return d, fmt.Errorf("array: column mux %d invalid for %d columns", o.ColumnMux, o.Cols)
+		return d, badColumnMux
 	}
 	d.totalBits = c.totalBits()
 	d.blockBits = c.blockBits()
 	bitsPerSAGroup := float64(o.Cols / o.ColumnMux)
 	if bitsPerSAGroup > d.blockBits {
-		return d, fmt.Errorf("array: mat fetch width %.0f exceeds block bits %.0f", bitsPerSAGroup, d.blockBits)
+		return d, fetchTooWide
 	}
 	d.activatedMats = math.Ceil(d.blockBits / bitsPerSAGroup)
 	d.bitsPerMat = float64(o.Rows) * float64(o.Cols)
 	d.totalMats = math.Ceil(d.totalBits / d.bitsPerMat)
 	d.matsPerBank = math.Ceil(d.totalMats / float64(o.Banks))
 	if d.activatedMats > d.matsPerBank {
-		return d, fmt.Errorf("array: access needs %.0f mats but bank has %.0f", d.activatedMats, d.matsPerBank)
+		return d, bankTooSmall
 	}
 	if o.Banks < c.Stack.Dies {
-		return d, fmt.Errorf("array: %d banks cannot spread across %d dies", o.Banks, c.Stack.Dies)
+		return d, tooFewBanks
 	}
 	d.banksPerDie = float64(o.Banks) / float64(c.Stack.Dies)
 	d.totalRows = d.totalMats * float64(o.Rows)
 	d.saPerMat = float64(o.Cols) / float64(o.ColumnMux)
 	d.totalSAs = d.totalMats * d.saPerMat
+	return d, feasibleOrg
+}
+
+// derive is feasible with the broken rule worded as an error.
+func (c *Config) derive(o Organization) (derived, error) {
+	d, why := c.feasible(o)
+	switch why {
+	case badBanks:
+		return d, fmt.Errorf("array: banks must be a positive power of two, got %d", o.Banks)
+	case matTooSmall:
+		return d, fmt.Errorf("array: mat %dx%d too small", o.Rows, o.Cols)
+	case badColumnMux:
+		return d, fmt.Errorf("array: column mux %d invalid for %d columns", o.ColumnMux, o.Cols)
+	case fetchTooWide:
+		return d, fmt.Errorf("array: mat fetch width %.0f exceeds block bits %.0f", float64(o.Cols/o.ColumnMux), d.blockBits)
+	case bankTooSmall:
+		return d, fmt.Errorf("array: access needs %.0f mats but bank has %.0f", d.activatedMats, d.matsPerBank)
+	case tooFewBanks:
+		return d, fmt.Errorf("array: %d banks cannot spread across %d dies", o.Banks, c.Stack.Dies)
+	}
 	return d, nil
 }

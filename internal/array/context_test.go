@@ -3,8 +3,8 @@ package array
 import (
 	"context"
 	"errors"
+	"sync/atomic"
 	"testing"
-	"time"
 
 	"coldtall/internal/cell"
 	"coldtall/internal/stack"
@@ -22,24 +22,44 @@ func TestOptimizeContextPreCancelled(t *testing.T) {
 	}
 }
 
+// pollCountdownCtx is a context whose Err reports context.Canceled from
+// its (n+1)-th poll on. Cancellation then lands at a fixed point of the
+// search however fast the search runs, where a timer would race it.
+type pollCountdownCtx struct {
+	context.Context
+	left  atomic.Int64
+	polls atomic.Int64
+}
+
+func cancelAfterPolls(n int64) *pollCountdownCtx {
+	c := &pollCountdownCtx{Context: context.Background()}
+	c.left.Store(n)
+	return c
+}
+
+func (c *pollCountdownCtx) Err() error {
+	c.polls.Add(1)
+	if c.left.Add(-1) < 0 {
+		return context.Canceled
+	}
+	return nil
+}
+
 // TestOptimizeContextCancelledMidSearch proves a cancelled search neither
-// returns a partial best nor keeps sweeping: it errors out quickly instead
-// of finishing the full organization enumeration.
+// returns a partial best nor keeps sweeping: the search polls once per
+// candidate, so with cancellation landing on the fourth poll it must fail
+// with the cancellation after exactly four polls, three candidates into the
+// organization enumeration.
 func TestOptimizeContextCancelledMidSearch(t *testing.T) {
-	ctx, cancel := context.WithCancel(context.Background())
-	go func() {
-		// Let a few candidates start, then pull the plug.
-		time.Sleep(time.Millisecond)
-		cancel()
-	}()
+	const before = 3
+	ctx := cancelAfterPolls(before)
 	cfg := DefaultLLC(cell.NewSRAM6T(), 350, stack.Planar())
 	_, err := OptimizeContext(ctx, cfg)
-	if err == nil {
-		// The full search legitimately won the race on a fast machine.
-		t.Skip("search completed before cancellation landed")
-	}
 	if !errors.Is(err, context.Canceled) {
 		t.Errorf("err = %v, want context.Canceled", err)
+	}
+	if got := ctx.polls.Load(); got != before+1 {
+		t.Errorf("search polled the context %d times, want %d (stop at the first cancelled poll)", got, before+1)
 	}
 }
 

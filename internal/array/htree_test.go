@@ -10,13 +10,13 @@ import (
 	"coldtall/internal/tech"
 )
 
-func corner350(t *testing.T) tech.DeviceCorner {
+func corner350(t *testing.T) *tech.DeviceCorner {
 	t.Helper()
 	c, err := tech.Node22HP().At(350)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return c
+	return &c
 }
 
 func TestHTreeSegmentsHalve(t *testing.T) {
@@ -24,7 +24,7 @@ func TestHTreeSegmentsHalve(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	segs := h.segments
+	segs := h.segments()
 	if len(segs) != h.hops {
 		t.Fatalf("segments %d != hops %d", len(segs), h.hops)
 	}
@@ -73,7 +73,7 @@ func TestHTreeColdIsFaster(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cold, _ := newHTree(16e-6, 16, coldCorner, 1)
+	cold, _ := newHTree(16e-6, 16, &coldCorner, 1)
 	if cold.delay() >= hot.delay() {
 		t.Fatal("77 K H-tree should beat 350 K")
 	}
@@ -98,7 +98,7 @@ func TestHTreeEnergyScalesWithPathLength(t *testing.T) {
 
 func TestHTreeRejectsBadTemperature(t *testing.T) {
 	bad := tech.DeviceCorner{Temperature: 2}
-	if _, err := newHTree(1e-6, 4, bad, 1); err == nil {
+	if _, err := newHTree(1e-6, 4, &bad, 1); err == nil {
 		t.Error("out-of-range corner temperature should fail")
 	}
 }
@@ -123,7 +123,7 @@ func TestAreasFoldAcrossDies(t *testing.T) {
 		t.Fatal(err)
 	}
 	c := corner350(t)
-	a8 := areas(cfg, org, d, c)
+	a8 := areas(&cfg, org, &d, c)
 
 	cfg1 := cfg
 	cfg1.Stack = stack.Planar()
@@ -131,7 +131,7 @@ func TestAreasFoldAcrossDies(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	a1 := areas(cfg1, org, d1, c)
+	a1 := areas(&cfg1, org, &d1, c)
 
 	// Foldable area and cell area are die-count invariant.
 	if math.Abs(a8.foldable-a1.foldable)/a1.foldable > 1e-12 {
@@ -168,8 +168,8 @@ func TestAreasPumpScalesWithWriteCurrent(t *testing.T) {
 	cfgHi := DefaultLLC(hi, 350, stack.Planar())
 	dLo, _ := cfgLo.derive(org)
 	dHi, _ := cfgHi.derive(org)
-	aLo := areas(cfgLo, org, dLo, c)
-	aHi := areas(cfgHi, org, dHi, c)
+	aLo := areas(&cfgLo, org, &dLo, c)
+	aHi := areas(&cfgHi, org, &dHi, c)
 	if aHi.perDieFixed <= aLo.perDieFixed {
 		t.Error("higher write current must grow the per-die pump area")
 	}

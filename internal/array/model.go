@@ -23,7 +23,7 @@ func Characterize(cfg Config, org Organization) (Result, error) {
 		return Result{}, err
 	}
 
-	ar := areas(cfg, org, d, corner)
+	ar := areas(&cfg, org, &d, &corner)
 
 	wireScale := cfg.Node.FeatureSize / 22e-9
 	localWire, err := tech.NewWireScaled(tech.WireLocal, cfg.Temperature, wireScale)
@@ -33,11 +33,11 @@ func Characterize(cfg Config, org Organization) (Result, error) {
 	// Global wires span the memory core (the folded cell matrix plus its
 	// mat periphery and the TSV bus); the per-die I/O ring and pumps sit
 	// at the edge and do not lengthen the H-tree.
-	tree, err := newHTree(ar.core, d.banksPerDie, corner, wireScale)
+	tree, err := newHTree(ar.core, d.banksPerDie, &corner, wireScale)
 	if err != nil {
 		return Result{}, err
 	}
-	route, err := newInBankRoute(ar.core, d.banksPerDie, corner, wireScale)
+	route, err := newInBankRoute(ar.core, d.banksPerDie, &corner, wireScale)
 	if err != nil {
 		return Result{}, err
 	}
@@ -246,7 +246,7 @@ type areaBreakdown struct {
 // areas evaluates the area model: cell matrix plus mat-local periphery fold
 // across stacked dies; per-die global periphery (I/O, pumps) and the TSV
 // bus are replicated on every die.
-func areas(cfg Config, org Organization, d derived, corner tech.DeviceCorner) areaBreakdown {
+func areas(cfg *Config, org Organization, d *derived, corner *tech.DeviceCorner) areaBreakdown {
 	f2 := cfg.Node.FeatureSize * cfg.Node.FeatureSize
 	c := cfg.Cell
 

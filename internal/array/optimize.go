@@ -1,9 +1,11 @@
 package array
 
 import (
+	"cmp"
 	"context"
 	"fmt"
 	"os"
+	"slices"
 	"sort"
 	"sync"
 
@@ -18,8 +20,15 @@ var (
 	searchBank = []int{1, 2, 4, 8, 16, 32, 64}
 )
 
-// candidates enumerates the full organization search space.
-func candidates() []Organization {
+// candidates enumerates the full organization search space. The slice is
+// shared and must not be modified.
+func candidates() []Organization { return allCandidates }
+
+var allCandidates = enumerateCandidates()
+
+// enumerateCandidates lists the search space in enumeration order: the
+// order the exhaustive reference scans and breaks ties by.
+func enumerateCandidates() []Organization {
 	out := make([]Organization, 0, SearchSpaceSize())
 	for _, banks := range searchBank {
 		for _, rows := range searchRows {
@@ -140,11 +149,29 @@ func optimizeExhaustive(ctx context.Context, cfg Config) (Result, error) {
 	return best, nil
 }
 
-// searchCandidate is one feasible organization staged for the pruned walk.
+// searchCandidate is one feasible organization staged for the pruned walk,
+// kept to 16 bytes because the walk sorts all of them: the organization
+// itself is candidates()[idx].
 type searchCandidate struct {
-	idx   int // position in the exhaustive enumeration order
-	org   Organization
 	bound float64
+	idx   int32 // position in the exhaustive enumeration order
+	hint  int32 // position in the family memo's ranking, or noHint
+}
+
+// noHint ranks a candidate the family memo did not name behind every one
+// it did.
+const noHint = memoRankCap
+
+// byBound orders staged candidates coarse-to-fine: ascending bound, then
+// enumeration index — a total order, so the sort is deterministic.
+func byBound(a, b searchCandidate) int {
+	if a.bound != b.bound {
+		if a.bound < b.bound {
+			return -1
+		}
+		return 1
+	}
+	return cmp.Compare(a.idx, b.idx)
 }
 
 // optimizePruned is the production search. Correctness argument, relied on
@@ -168,7 +195,7 @@ type searchCandidate struct {
 // ranking promoted to the front.
 func optimizePruned(ctx context.Context, cfg Config) (Result, SearchStats, error) {
 	stats := SearchStats{SpaceSize: SearchSpaceSize()}
-	bc, err := newBoundContext(cfg)
+	bc, err := newBoundContext(&cfg)
 	if err != nil {
 		// The bound needs the same corner and wires Characterize needs;
 		// if they cannot be built the reference path fails identically.
@@ -178,25 +205,20 @@ func optimizePruned(ctx context.Context, cfg Config) (Result, SearchStats, error
 	orgs := candidates()
 	feas := make([]searchCandidate, 0, len(orgs))
 	for i, o := range orgs {
-		d, err := cfg.derive(o)
-		if err != nil {
+		d, why := bc.cfg.feasible(o)
+		if why != feasibleOrg {
 			stats.Infeasible++
 			continue
 		}
-		feas = append(feas, searchCandidate{idx: i, org: o, bound: bc.lowerBound(o, d, cfg.Target)})
+		feas = append(feas, searchCandidate{bound: bc.lowerBound(o, &d, cfg.Target), idx: int32(i), hint: noHint})
 	}
 	// Coarse-to-fine: ascending bound finds a near-optimal incumbent
 	// within the first few characterizations, which is what gives the
 	// bound its teeth against the tail.
-	sort.Slice(feas, func(a, b int) bool {
-		if feas[a].bound != feas[b].bound {
-			return feas[a].bound < feas[b].bound
-		}
-		return feas[a].idx < feas[b].idx
-	})
-	if hint := searchMemo.lookup(cfg); len(hint) > 0 {
+	slices.SortFunc(feas, byBound)
+	if hint := searchMemo.lookup(&cfg); len(hint) > 0 {
 		stats.WarmStart = true
-		promoteHinted(feas, hint)
+		promoteHinted(feas, orgs, hint)
 	}
 
 	var best Result
@@ -207,13 +229,14 @@ func optimizePruned(ctx context.Context, cfg Config) (Result, SearchStats, error
 		if err := ctx.Err(); err != nil {
 			return Result{}, stats, fmt.Errorf("array: optimize %s cancelled: %w", cfg.Cell.Name, err)
 		}
-		if bestIdx >= 0 && (c.bound > bestObj || (c.bound == bestObj && c.idx > bestIdx)) {
+		idx := int(c.idx)
+		if bestIdx >= 0 && (c.bound > bestObj || (c.bound == bestObj && idx > bestIdx)) {
 			stats.Pruned++
 			continue
 		}
-		r, err := Characterize(cfg, c.org)
+		r, err := Characterize(cfg, orgs[idx])
 		if err != nil {
-			// Unreachable for a validated config once derive passed
+			// Unreachable for a validated config once feasible passed
 			// (corner and wires are organization-independent), kept so a
 			// future per-organization failure mode degrades to "skip"
 			// exactly as the exhaustive path would.
@@ -222,16 +245,16 @@ func optimizePruned(ctx context.Context, cfg Config) (Result, SearchStats, error
 		}
 		stats.Characterized++
 		obj := r.objective(cfg.Target)
-		evaluated = append(evaluated, rankedOrg{org: c.org, obj: obj, idx: c.idx})
-		if bestIdx < 0 || obj < bestObj || (obj == bestObj && c.idx < bestIdx) {
-			best, bestObj, bestIdx = r, obj, c.idx
+		evaluated = append(evaluated, rankedOrg{org: orgs[idx], obj: obj, idx: idx})
+		if bestIdx < 0 || obj < bestObj || (obj == bestObj && idx < bestIdx) {
+			best, bestObj, bestIdx = r, obj, idx
 		}
 	}
 	if bestIdx < 0 {
 		return Result{}, stats, fmt.Errorf("array: no feasible organization for %s at %d B capacity",
 			cfg.Cell.Name, cfg.CapacityBytes)
 	}
-	searchMemo.update(cfg, evaluated)
+	searchMemo.update(&cfg, evaluated)
 	return best, stats, nil
 }
 
@@ -245,20 +268,14 @@ type rankedOrg struct {
 // promoteHinted stably moves the hinted organizations to the front of the
 // staged candidates, in hint order (best-first from the neighboring solve),
 // leaving the bound-ordered remainder untouched behind them.
-func promoteHinted(feas []searchCandidate, hint []Organization) {
-	pos := make(map[Organization]int, len(hint))
-	for i, o := range hint {
-		if _, ok := pos[o]; !ok {
-			pos[o] = i
+func promoteHinted(feas []searchCandidate, orgs, hint []Organization) {
+	for i := range feas {
+		if p := slices.Index(hint, orgs[feas[i].idx]); p >= 0 {
+			feas[i].hint = int32(p)
 		}
 	}
-	sort.SliceStable(feas, func(a, b int) bool {
-		pa, oka := pos[feas[a].org]
-		pb, okb := pos[feas[b].org]
-		if oka != okb {
-			return oka
-		}
-		return oka && pa < pb
+	slices.SortStableFunc(feas, func(a, b searchCandidate) int {
+		return cmp.Compare(a.hint, b.hint)
 	})
 }
 
@@ -289,7 +306,7 @@ var searchMemo = &rankingMemo{m: make(map[string][]Organization)}
 // technology and two of its scalars — enough that distinct cells sharing a
 // name (possible for caller-constructed cells) land in distinct families
 // in practice; a collision would only perturb the evaluation order.
-func familyKey(cfg Config) string {
+func familyKey(cfg *Config) string {
 	return fmt.Sprintf("%s|%d|%g|%g|%g|%d|%d|%d|%t|%s|%d|%d",
 		cfg.Cell.Name, int(cfg.Cell.Tech), cfg.Cell.AreaF2, cfg.Cell.WritePulseS, cfg.Cell.ReadCurrentA,
 		cfg.CapacityBytes, cfg.BlockBytes, cfg.Ports, cfg.ECC, cfg.Node.Name,
@@ -297,7 +314,7 @@ func familyKey(cfg Config) string {
 }
 
 // lookup returns the family's last ranking (best first), or nil.
-func (m *rankingMemo) lookup(cfg Config) []Organization {
+func (m *rankingMemo) lookup(cfg *Config) []Organization {
 	key := familyKey(cfg)
 	m.mu.Lock()
 	defer m.mu.Unlock()
@@ -306,12 +323,15 @@ func (m *rankingMemo) lookup(cfg Config) []Organization {
 
 // update stores the ranking of the organizations a search characterized,
 // best (objective, enumeration index) first, truncated to memoRankCap.
-func (m *rankingMemo) update(cfg Config, evaluated []rankedOrg) {
-	sort.Slice(evaluated, func(a, b int) bool {
-		if evaluated[a].obj != evaluated[b].obj {
-			return evaluated[a].obj < evaluated[b].obj
+func (m *rankingMemo) update(cfg *Config, evaluated []rankedOrg) {
+	slices.SortFunc(evaluated, func(a, b rankedOrg) int {
+		if a.obj != b.obj {
+			if a.obj < b.obj {
+				return -1
+			}
+			return 1
 		}
-		return evaluated[a].idx < evaluated[b].idx
+		return cmp.Compare(a.idx, b.idx)
 	})
 	n := len(evaluated)
 	if n > memoRankCap {
@@ -353,7 +373,7 @@ func characterizeAll(ctx context.Context, cfg Config, orgs []Organization) []*Re
 	// the only error ForEachContext can surface is the cancellation, which
 	// both reducers re-check via ctx.Err.
 	_ = parallel.ForEachContext(ctx, len(orgs), 0, func(i int) error {
-		if _, err := cfg.derive(orgs[i]); err != nil {
+		if _, why := cfg.feasible(orgs[i]); why != feasibleOrg {
 			return nil
 		}
 		r, err := Characterize(cfg, orgs[i])

@@ -81,8 +81,15 @@ type ResultStore interface {
 // environment (cooling touches Evaluate, never Characterize) can share one
 // memory — see WithCoolingShared.
 type charState struct {
-	mu    sync.Mutex
-	cache map[string]array.Result
+	// cache is bounded (charCacheSize entries per generation) because a
+	// server characterizes whatever points clients send; an evicted point
+	// comes back from persist when one is attached, or is recomputed —
+	// the search is deterministic, so the bytes are the same either way.
+	cache *parallel.Memo[string, array.Result]
+
+	// mu guards persist and makes SeedCharacterization's check-and-fill
+	// atomic.
+	mu sync.Mutex
 
 	// flight deduplicates in-flight characterizations so the expensive
 	// array.Optimize search runs at most once per design-point key even
@@ -123,9 +130,13 @@ type Explorer struct {
 func New() *Explorer {
 	return &Explorer{
 		Cooling: cryo.DefaultCooling(),
-		chars:   &charState{cache: make(map[string]array.Result)},
+		chars:   &charState{cache: parallel.NewMemo[string, array.Result](charCacheSize)},
 	}
 }
+
+// charCacheSize bounds each generation of the characterization cache. The
+// paper's whole working set is about a hundred design points.
+const charCacheSize = 1024
 
 // WithCooling returns an Explorer using a specific cooling environment,
 // with its own characterization memory (the historical constructor for
@@ -164,6 +175,13 @@ func (e *Explorer) SetPersistence(rs ResultStore) {
 	e.chars.mu.Unlock()
 }
 
+// store returns the persistence hook, or nil.
+func (cs *charState) store() ResultStore {
+	cs.mu.Lock()
+	defer cs.mu.Unlock()
+	return cs.persist
+}
+
 // Characterize runs (and caches) the EDP-optimized array characterization
 // of a design point. Concurrent callers of the same point share a single
 // in-flight optimization: the first caller computes, the rest wait on it,
@@ -190,27 +208,19 @@ func (e *Explorer) CharacterizeContext(ctx context.Context, p DesignPoint) (arra
 	}
 	key := p.Key()
 	cs := e.chars
-	cs.mu.Lock()
-	r, ok := cs.cache[key]
-	persist := cs.persist
-	cs.mu.Unlock()
-	if ok {
+	if r, ok := cs.cache.Get(key); ok {
 		return r, nil
 	}
+	persist := cs.store()
 	return cs.flight.Do(key, func() (array.Result, error) {
 		// Re-check under the flight: a previous flight for this key may
 		// have filled the cache between our miss and winning the flight.
-		cs.mu.Lock()
-		r, ok := cs.cache[key]
-		cs.mu.Unlock()
-		if ok {
+		if r, ok := cs.cache.Get(key); ok {
 			return r, nil
 		}
 		if persist != nil {
 			if r, ok := persist.Load(key); ok {
-				cs.mu.Lock()
-				cs.cache[key] = r
-				cs.mu.Unlock()
+				cs.cache.Put(key, r)
 				return r, nil
 			}
 		}
@@ -219,9 +229,7 @@ func (e *Explorer) CharacterizeContext(ctx context.Context, p DesignPoint) (arra
 		if err != nil {
 			return array.Result{}, fmt.Errorf("explorer: characterizing %s: %w", p.Label, err)
 		}
-		cs.mu.Lock()
-		cs.cache[key] = r
-		cs.mu.Unlock()
+		cs.cache.Put(key, r)
 		if persist != nil {
 			persist.Save(key, r)
 		}
@@ -242,18 +250,12 @@ func (e *Explorer) OptimizeCalls() int64 { return e.chars.optimizeCalls.Load() }
 func (e *Explorer) CachedCharacterization(p DesignPoint) (array.Result, bool) {
 	key := p.Key()
 	cs := e.chars
-	cs.mu.Lock()
-	r, ok := cs.cache[key]
-	persist := cs.persist
-	cs.mu.Unlock()
-	if ok {
+	if r, ok := cs.cache.Get(key); ok {
 		return r, true
 	}
-	if persist != nil {
+	if persist := cs.store(); persist != nil {
 		if r, ok := persist.Load(key); ok {
-			cs.mu.Lock()
-			cs.cache[key] = r
-			cs.mu.Unlock()
+			cs.cache.Put(key, r)
 			return r, true
 		}
 	}
@@ -271,9 +273,9 @@ func (e *Explorer) SeedCharacterization(p DesignPoint, r array.Result) {
 	key := p.Key()
 	cs := e.chars
 	cs.mu.Lock()
-	_, had := cs.cache[key]
+	_, had := cs.cache.Get(key)
 	if !had {
-		cs.cache[key] = r
+		cs.cache.Put(key, r)
 	}
 	persist := cs.persist
 	cs.mu.Unlock()

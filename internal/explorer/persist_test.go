@@ -130,3 +130,42 @@ func TestWithCoolingSharedEvaluatesDifferently(t *testing.T) {
 		t.Error("different cooler classes reported identical total power; cooling model appears shared")
 	}
 }
+
+// TestCharacterizationCacheBounded: an explorer fed 10k distinct design
+// points keeps at most two generations of them in memory, and a point
+// evicted from memory comes back from the persistent store without running
+// the optimizer again.
+func TestCharacterizationCacheBounded(t *testing.T) {
+	st := newFakeStore()
+	e := New()
+	e.SetPersistence(st)
+	point := func(i int) DesignPoint {
+		p := Baseline()
+		p.CapacityBytes = 16<<20 + int64(i)*64
+		return p
+	}
+	want, err := e.Characterize(point(0))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 1; i < 10_000; i++ {
+		e.SeedCharacterization(point(i), want)
+		if n := e.chars.cache.Len(); n > 2*charCacheSize {
+			t.Fatalf("after %d points the cache holds %d entries, bound %d", i+1, n, 2*charCacheSize)
+		}
+	}
+	if _, ok := e.chars.cache.Get(point(0).Key()); ok {
+		t.Fatal("the first point survived 10k newer points in memory")
+	}
+	calls := e.OptimizeCalls()
+	got, err := e.Characterize(point(0))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got != want {
+		t.Error("the evicted point came back different")
+	}
+	if n := e.OptimizeCalls(); n != calls {
+		t.Errorf("re-requesting an evicted point ran the optimizer (%d -> %d calls); want a store hit", calls, n)
+	}
+}

@@ -1,8 +1,9 @@
 // Package parallel provides the concurrency primitives every sweep in the
 // repository runs on: a bounded worker pool with deterministic output
-// ordering, and a singleflight group that deduplicates concurrent
-// computations of the same key. Centralizing them keeps the parallel code
-// paths small, audited, and race-detector-clean in one place.
+// ordering, a singleflight group that deduplicates concurrent
+// computations of the same key, and a bounded memo table for caching pure
+// results under request-supplied keys. Centralizing them keeps the
+// parallel code paths small, audited, and race-detector-clean in one place.
 //
 // The primitives are deliberately deterministic at the output level: ForEach
 // and Map index results by input position, so a parallel sweep produces

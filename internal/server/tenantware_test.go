@@ -11,6 +11,7 @@ import (
 	"testing"
 	"time"
 
+	"coldtall/internal/array"
 	"coldtall/internal/job"
 )
 
@@ -240,13 +241,24 @@ func TestJobQuota429(t *testing.T) {
 	path := writeTenantsFile(t, `{
 		"tenants": [{"name": "carol", "key": "carol-key-1", "max_jobs": 1, "budget": 100, "budget_window": "1h"}]
 	}`)
-	s, _ := newTestServer(t, Config{TenantsFile: path})
+	s, study := newTestServer(t, Config{TenantsFile: path})
+	// The quota counts live jobs, so the first job must still be live when
+	// the second arrives: every characterization it runs blocks in the
+	// gated store until the assertions are done.
+	gate := &gatedStore{release: make(chan struct{})}
+	study.Explorer().SetPersistence(gate)
 
 	first := `{"kind":"sweep","points":[{"cell":"SRAM"},{"cell":"3T-eDRAM"},{"cell":"PCM"},{"cell":"STT-RAM"}],"benchmarks":["namd","mcf"]}`
 	rr := doKeyed(t, s.Handler(), http.MethodPost, "/v1/jobs", "carol-key-1", first)
 	if rr.Code != http.StatusAccepted {
 		t.Fatalf("first job: %d %s", rr.Code, rr.Body)
 	}
+	var firstJob job.Status
+	if err := json.Unmarshal(rr.Body.Bytes(), &firstJob); err != nil {
+		t.Fatal(err)
+	}
+	defer waitJobDone(t, s, firstJob.ID)
+	defer close(gate.release)
 	spentAfterFirst := budgetRemaining(t, rr)
 
 	rr = doKeyed(t, s.Handler(), http.MethodPost, "/v1/jobs", "carol-key-1", `{"kind":"characterize","points":[{"cell":"PCM"}]}`)
@@ -264,6 +276,18 @@ func TestJobQuota429(t *testing.T) {
 		t.Errorf("duplicate resubmit moved the budget: remaining %d -> %d", spentAfterFirst, again)
 	}
 }
+
+// gatedStore is an explorer.ResultStore that holds every lookup until
+// release is closed, then reports a miss: a job characterizing through it
+// stays live for exactly as long as the test needs.
+type gatedStore struct{ release chan struct{} }
+
+func (g *gatedStore) Load(string) (array.Result, bool) {
+	<-g.release
+	return array.Result{}, false
+}
+
+func (g *gatedStore) Save(string, array.Result) {}
 
 func budgetRemaining(t *testing.T, rr *httptest.ResponseRecorder) int64 {
 	t.Helper()

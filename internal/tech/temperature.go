@@ -3,6 +3,8 @@ package tech
 import (
 	"fmt"
 	"math"
+
+	"coldtall/internal/parallel"
 )
 
 // Copper lattice parameters for the Bloch–Grüneisen resistivity model.
@@ -27,12 +29,36 @@ const (
 // blochGruneisen returns the phonon contribution to copper resistivity at
 // temperature t (kelvin), in ohm-metres, normalized so that the value at
 // 300 K equals copperBulkRho300.
+//
+// The value is a pure function of t, and every wire construction and
+// device-corner evaluation asks for it again at the same few temperatures,
+// so it is memoized on the exact bits of t: a repeat is a table lookup
+// returning the same float64 the integral produced on first use.
 func blochGruneisen(t float64) float64 {
 	if t <= 0 {
 		return 0
 	}
+	key := math.Float64bits(t)
+	if v, ok := bgMemo.Get(key); ok {
+		return v
+	}
+	v := blochGruneisenDirect(t)
+	bgMemo.Put(key, v)
+	return v
+}
+
+// blochGruneisenDirect evaluates the integral without the memo.
+func blochGruneisenDirect(t float64) float64 {
 	return copperBulkRho300 * bgIntegralRatio(t) / bgRatio300
 }
+
+// bgMemoSize bounds each generation of the resistivity memo. A study
+// touches a few dozen temperatures; the serve API accepts any float in
+// [4, 400] K, so the bound is what keeps request-supplied temperatures from
+// growing the table.
+const bgMemoSize = 1024
+
+var bgMemo = parallel.NewMemo[uint64, float64](bgMemoSize)
 
 // bgIntegralRatio computes (T/ThetaD)^5 * integral_0^{ThetaD/T} x^5 /
 // ((e^x - 1)(1 - e^-x)) dx, the dimensionless Bloch–Grüneisen shape.
