@@ -5,7 +5,7 @@
 
 GO ?= go
 
-.PHONY: build test check vet fmtcheck race servecheck jobcheck smoke artifactcheck tenantcheck tracecheck prunecheck clustercheck techcheck wlcheck goldencheck fuzz vulncheck bench searchbench golden-update
+.PHONY: build test check vet fmtcheck race servecheck jobcheck smoke artifactcheck tenantcheck tracecheck prunecheck clustercheck techcheck wlcheck deadcheck goldencheck fuzz vulncheck bench searchbench golden-update
 
 build:
 	$(GO) build ./...
@@ -109,6 +109,13 @@ wlcheck:
 	$(GO) test -race ./internal/signature/... ./internal/workload/... ./internal/ingest/... ./internal/distill/...
 	$(GO) test -race -run 'TestWorkload' ./internal/server/ ./cmd/coldtall/
 	./scripts/wlcheck.sh
+
+# Reachability gate: every function and method declared under internal/
+# must be linked into some binary (the cmd/* and examples/* mains or the
+# coldbench harness). Test oracles live in _test.go files; the script's
+# keep-list names the few shared test fixtures allowed to stay unlinked.
+deadcheck:
+	./scripts/deadcheck.sh
 
 # Golden-artifact gate: every registered artifact re-generated and
 # byte-compared against testdata/golden/ (no -update), so a physics or

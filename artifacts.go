@@ -287,7 +287,11 @@ var artifacts = artifact.MustNew(
 		},
 		Build: func(ctx context.Context, s *Study, t *report.Table) error {
 			s = s.WithContext(ctx)
-			for _, bench := range BandRepresentatives() {
+			benches := BandRepresentatives()
+			if s.only != "" {
+				benches = []string{s.only}
+			}
+			for _, bench := range benches {
 				rows, err := s.ColdAndTall(bench)
 				if err != nil {
 					return err
@@ -437,7 +441,14 @@ func Artifacts() *artifact.Registry[*Study] { return artifacts }
 
 // ArtifactNames lists every exportable artifact file name ("fig1.csv", ...,
 // "reliability.csv") in paper order.
-func (s *Study) ArtifactNames() []string { return artifacts.Files() }
+func (s *Study) ArtifactNames() []string {
+	ds := artifacts.Descriptors()
+	out := make([]string, len(ds))
+	for i, d := range ds {
+		out[i] = d.File
+	}
+	return out
+}
 
 // ArtifactTable builds one artifact by registry name or file name and
 // returns it as a schema-carrying table — the writer-agnostic form Export,

@@ -23,6 +23,7 @@ package coldtall
 // SRAM area reduction.
 
 import (
+	"context"
 	"fmt"
 	"sync"
 	"testing"
@@ -216,14 +217,20 @@ func BenchmarkCoolingOverheadSweep(b *testing.B) {
 // BenchmarkAblationOptimizationTarget compares the organization search
 // under its four objectives for the baseline SRAM LLC.
 func BenchmarkAblationOptimizationTarget(b *testing.B) {
-	for _, target := range []array.Target{array.OptimizeEDP, array.OptimizeLatency, array.OptimizeArea, array.OptimizeEnergy} {
-		b.Run(target.String(), func(b *testing.B) {
+	for _, tc := range []struct {
+		name   string
+		target array.Target
+	}{
+		{"edp", array.OptimizeEDP}, {"latency", array.OptimizeLatency},
+		{"area", array.OptimizeArea}, {"energy", array.OptimizeEnergy},
+	} {
+		b.Run(tc.name, func(b *testing.B) {
 			cfg := array.DefaultLLC(cell.NewSRAM6T(), 350, stack.Planar())
-			cfg.Target = target
+			cfg.Target = tc.target
 			var r array.Result
 			for i := 0; i < b.N; i++ {
 				var err error
-				r, err = array.Optimize(cfg)
+				r, err = array.OptimizeContext(context.Background(), cfg)
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -247,7 +254,7 @@ func BenchmarkAblationIntegrationStyle(b *testing.B) {
 			var r array.Result
 			for i := 0; i < b.N; i++ {
 				var err error
-				r, err = array.Optimize(cfg)
+				r, err = array.OptimizeContext(context.Background(), cfg)
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -376,7 +383,7 @@ func benchmarkEvaluateAll(b *testing.B, workers int) {
 	for i := 0; i < b.N; i++ {
 		e := explorer.New()
 		e.Workers = workers
-		if _, err := e.EvaluateAll(points, traffics); err != nil {
+		if _, err := e.EvaluateAllContext(context.Background(), points, traffics); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -392,7 +399,7 @@ func BenchmarkEvaluateAllParallel(b *testing.B) { benchmarkEvaluateAll(b, 0) }
 func BenchmarkArrayOptimize(b *testing.B) {
 	cfg := array.DefaultLLC(cell.NewSRAM6T(), 350, stack.Planar())
 	for i := 0; i < b.N; i++ {
-		if _, err := array.Optimize(cfg); err != nil {
+		if _, err := array.OptimizeContext(context.Background(), cfg); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -467,7 +474,8 @@ func BenchmarkAblationCapacity(b *testing.B) {
 	s := sharedStudy(b)
 	for _, mib := range []int64{4, 16, 64} {
 		b.Run(fmt.Sprintf("%dMiB", mib), func(b *testing.B) {
-			p := explorer.Baseline().WithCapacity(mib << 20)
+			p := explorer.Baseline()
+			p.CapacityBytes = mib << 20
 			var r array.Result
 			for i := 0; i < b.N; i++ {
 				var err error

@@ -1,17 +1,18 @@
 package main
 
 // CLI tests for the jobs subcommand family, run against a real server
-// mounted on an httptest listener — the same wire format `coldtall serve`
-// exposes.
+// on a loopback listener — the same wire format `coldtall serve` exposes.
 
 import (
+	"context"
 	"io"
 	"log"
-	"net/http/httptest"
+	"net"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
+	"time"
 
 	"coldtall"
 	"coldtall/internal/server"
@@ -33,14 +34,27 @@ func startJobServerCfg(t *testing.T, cfg server.Config) string {
 		cfg.StoreDir = t.TempDir()
 	}
 	cfg.Logger = log.New(io.Discard, "", 0)
+	if cfg.DrainTimeout == 0 {
+		cfg.DrainTimeout = time.Second
+	}
 	s, err := server.New(study, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ts := httptest.NewServer(s.Handler())
-	t.Cleanup(ts.Close)
-	t.Cleanup(func() { s.Jobs().Close() })
-	return ts.URL
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Cancelling drains the server the way SIGTERM does: the listener
+	// closes, in-flight requests finish, then the job pool stops.
+	ctx, cancel := context.WithCancel(context.Background())
+	done := make(chan error, 1)
+	go func() { done <- s.Serve(ctx, ln) }()
+	t.Cleanup(func() {
+		cancel()
+		<-done
+	})
+	return "http://" + ln.Addr().String()
 }
 
 // jobID pulls the leading job ID out of a printStatus line.

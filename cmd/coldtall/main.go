@@ -1,24 +1,25 @@
 // Command coldtall regenerates the paper's evaluation artifacts from the
-// command line:
+// command line. Every artifact in the registry (internal/artifact, listed
+// by `coldtall artifacts list`) is a subcommand of its own:
 //
 //	coldtall fig1|fig3|fig4|fig5|fig6|fig7   # figures (tables + ASCII plots)
 //	coldtall table1|table2                   # tables
 //	coldtall cooling                         # Sec. III-C sensitivity
-//	coldtall all                             # everything, in paper order
-//	coldtall verify                          # re-evaluate every paper claim
+//	coldtall coldtall                        # Sec. VI: combined cryogenic + 3D
+//	coldtall reliability                     # SECDED FIT / wear-out / retention tails
+//	coldtall gaincell|deepcryo|freqsweep     # gain-cell, sub-77K and frequency sweeps
+//	coldtall wlsig                           # locality signatures of the stand-ins
+//	coldtall all                             # every registry artifact, in paper order
 //
-// Extension studies:
+// Studies outside the registry:
 //
-//	coldtall coldtall      # Sec. VI: combined cryogenic + 3D
-//	coldtall reliability   # SECDED FIT / wear-out / retention tails
+//	coldtall verify        # re-evaluate every paper claim
 //	coldtall exclusions    # why 1T1C-eDRAM and SOT-RAM sit out
 //	coldtall impact        # cross-stack AMAT / IPC consequences
 //	coldtall nodes         # the verdict on 45nm and 16nm
 //	coldtall survey        # every survey datapoint vs the tentpoles
 //	coldtall thermal       # Sec. V-A self-consistent operating points
 //	coldtall traffic       # simulated vs static traffic calibration
-//	coldtall techaxes      # gain-cell, sub-77K and frequency extension sweeps
-//	coldtall gaincell|deepcryo|freqsweep   # the same, one registry artifact each
 //
 // Artifact registry (the declarative catalog behind figures, tables, CSV
 // export and the HTTP /v1/artifacts API — see internal/artifact):
@@ -137,7 +138,6 @@ func run(ctx context.Context, args []string, w io.Writer) error {
 	storeDir := fs.String("store-dir", "", "serve: persistent result-store directory (empty = in-memory only)")
 	jobWorkers := fs.Int("job-workers", 0, "serve: async job worker pool size (0 = one per CPU)")
 	jobConcurrency := fs.Int("job-concurrency", 0, "serve: async jobs executing at once (0 = default 2); excess queues by priority and fair share")
-	schedMode := fs.String("scheduler", "", "serve: job dispatch order: fair (priority + weighted fair share, the default) or fifo")
 	serverURL := fs.String("server", "http://localhost:8080", "jobs/worker: base URL of a running serve instance")
 	poll := fs.Duration("poll", 250*time.Millisecond, "jobs wait / worker: status or lease poll interval")
 	format := fs.String("format", "table", "artifacts: output format (table, csv)")
@@ -156,7 +156,8 @@ func run(ctx context.Context, args []string, w io.Writer) error {
 
 	if len(args) == 0 {
 		fs.Usage()
-		return fmt.Errorf("missing subcommand (fig1..fig7, table1, table2, cooling, coldtall, reliability, exclusions, impact, nodes, survey, thermal, traffic, techaxes, gaincell, deepcryo, freqsweep, verify, artifacts, eval, export, sweep, pareto, serve, worker, jobs, workloads, openapi, all)")
+		return fmt.Errorf("missing subcommand (%s, exclusions, impact, nodes, survey, thermal, traffic, verify, artifacts, eval, export, sweep, pareto, serve, worker, jobs, workloads, openapi, all)",
+			strings.Join(coldtall.Artifacts().Names(), ", "))
 	}
 	cmd := args[0]
 	if err := fs.Parse(args[1:]); err != nil {
@@ -181,7 +182,7 @@ func run(ctx context.Context, args []string, w io.Writer) error {
 		cellName: *cellName, corner: *corner, dies: *dies, temp: *temp,
 		style: *style, freq: *freq,
 		addr: *addr, cacheSize: *cacheSize, timeout: *timeout,
-		storeDir: *storeDir, jobWorkers: *jobWorkers, jobConcurrency: *jobConcurrency, scheduler: *schedMode,
+		storeDir: *storeDir, jobWorkers: *jobWorkers, jobConcurrency: *jobConcurrency,
 		server: *serverURL, poll: *poll,
 		format: *format, args: positional(fs.Args()),
 		coordinator: *coordinator, workerToken: *workerToken,
@@ -213,7 +214,6 @@ type cliFlags struct {
 	storeDir           string
 	jobWorkers         int
 	jobConcurrency     int
-	scheduler          string
 	server             string
 	poll               time.Duration
 	format             string
@@ -245,12 +245,6 @@ func (p positional) arg(i int) string {
 
 func dispatch(ctx context.Context, cmd string, study *coldtall.Study, w io.Writer, f cliFlags) error {
 	switch cmd {
-	case "coldtall":
-		// The extension studies keep their rich per-benchmark views; their
-		// flat grids live in the registry ("coldtall", "reliability").
-		return study.RenderColdAndTall(w)
-	case "reliability":
-		return study.RenderReliability(w)
 	case "artifacts":
 		return runArtifacts(study, w, f)
 	case "exclusions":
@@ -265,8 +259,6 @@ func dispatch(ctx context.Context, cmd string, study *coldtall.Study, w io.Write
 		return renderTrafficCalibration(w)
 	case "thermal":
 		return study.RenderThermal(w)
-	case "techaxes":
-		return study.RenderTechAxes(w)
 	case "verify":
 		return study.RenderVerify(w)
 	case "eval":
@@ -286,19 +278,9 @@ func dispatch(ctx context.Context, cmd string, study *coldtall.Study, w io.Write
 		fmt.Fprintf(w, "wrote CSV artifacts to %s\n", f.outDir)
 		return nil
 	case "all":
-		// Every registry artifact in paper order, with the extension
-		// studies swapped for their rich renderers.
+		// Every registry artifact in paper order.
 		for _, name := range coldtall.Artifacts().Names() {
-			var err error
-			switch name {
-			case "coldtall":
-				err = study.RenderColdAndTall(w)
-			case "reliability":
-				err = study.RenderReliability(w)
-			default:
-				err = study.RenderArtifact(w, name, f.plot)
-			}
-			if err != nil {
+			if err := study.RenderArtifact(w, name, f.plot); err != nil {
 				return err
 			}
 			fmt.Fprintln(w)
@@ -400,7 +382,6 @@ func serveHTTP(ctx context.Context, study *coldtall.Study, w io.Writer, f cliFla
 		StoreDir:       f.storeDir,
 		JobWorkers:     f.jobWorkers,
 		JobConcurrency: f.jobConcurrency,
-		Scheduler:      f.scheduler,
 		Coordinator:    f.coordinator,
 		WorkerToken:    f.workerToken,
 		LeaseTTL:       f.leaseTTL,

@@ -11,10 +11,18 @@ import (
 // bg shortens the background context the CLI tests thread through run.
 var bg = context.Background()
 
+// TestRunRequiresSubcommand pins the usage error: it lists every
+// registry artifact, since each one is a subcommand.
 func TestRunRequiresSubcommand(t *testing.T) {
 	var b strings.Builder
-	if err := run(bg, nil, &b); err == nil {
-		t.Error("missing subcommand should error")
+	err := run(bg, nil, &b)
+	if err == nil {
+		t.Fatal("missing subcommand should error")
+	}
+	for _, name := range coldtall.Artifacts().Names() {
+		if !strings.Contains(err.Error(), name) {
+			t.Errorf("usage error %q does not list artifact %q", err, name)
+		}
 	}
 }
 
@@ -231,17 +239,30 @@ func TestRunArtifactsRejectsBadInputs(t *testing.T) {
 	}
 }
 
-// TestRunRegistryNameDispatch pins the generic dispatch: every registry
-// name is a subcommand, including the extension artifacts that used to
-// have bespoke renderers.
+// TestRunRegistryNameDispatch pins the single render path: every registry
+// name is a subcommand whose output is byte-identical to `artifacts
+// <name>`, and `all` is exactly their concatenation, each followed by a
+// blank line.
 func TestRunRegistryNameDispatch(t *testing.T) {
-	var b strings.Builder
-	if err := run(bg, []string{"cooling"}, &b); err != nil {
+	var want strings.Builder
+	for _, name := range coldtall.Artifacts().Names() {
+		var direct, viaArtifacts strings.Builder
+		if err := run(bg, []string{name}, &direct); err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if err := run(bg, []string{"artifacts", name}, &viaArtifacts); err != nil {
+			t.Fatalf("artifacts %s: %v", name, err)
+		}
+		if direct.String() != viaArtifacts.String() {
+			t.Errorf("`coldtall %s` differs from `coldtall artifacts %s`", name, name)
+		}
+		want.WriteString(viaArtifacts.String() + "\n")
+	}
+	var all strings.Builder
+	if err := run(bg, []string{"all"}, &all); err != nil {
 		t.Fatal(err)
 	}
-	for _, want := range []string{"cooler", "rel_total_power"} {
-		if !strings.Contains(b.String(), want) {
-			t.Errorf("cooling output missing %q", want)
-		}
+	if all.String() != want.String() {
+		t.Error("`coldtall all` differs from the artifacts rendered one by one")
 	}
 }

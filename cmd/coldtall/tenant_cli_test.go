@@ -2,7 +2,7 @@ package main
 
 // CLI tests for the multi-tenant surface: the openapi subcommand, the
 // -api-key bearer passthrough, jobs watch (SSE) and the jobs list
-// filter/pagination flags — all against a real server on an httptest
+// filter/pagination flags — all against a real server on a loopback
 // listener.
 
 import (

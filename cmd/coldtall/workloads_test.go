@@ -1,7 +1,7 @@
 package main
 
 // CLI tests for the workloads subcommand family, run against a real server
-// mounted on an httptest listener.
+// on a loopback listener.
 
 import (
 	"os"

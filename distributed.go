@@ -14,9 +14,9 @@ import (
 // results: a point listed here is pre-characterized remotely and seeded
 // into the explorer cache; a point the render needs but the list misses is
 // simply characterized locally, and results are identical either way
-// (array.Optimize is deterministic — the pruned/exhaustive differential
-// pins it). Artifacts without an enumerable grid return nil and render
-// entirely locally.
+// (array.OptimizeContext is deterministic — the pruned/exhaustive
+// differential pins it). Artifacts without an enumerable grid return nil
+// and render entirely locally.
 func ArtifactPoints(name string) []explorer.DesignPoint {
 	var pts []explorer.DesignPoint
 	switch name {

@@ -182,7 +182,7 @@ func (s *Study) Fig5() ([]TrafficRow, error) {
 }
 
 // fig5Points is the Fig. 5 design-point set (volatile cells at both
-// operating temperatures), shared with per-workload artifact rendering.
+// operating temperatures), shared with the distributed grid planner.
 func fig5Points() []explorer.DesignPoint {
 	return []explorer.DesignPoint{
 		explorer.SRAMAt(tech.TempHot350), explorer.EDRAMAt(tech.TempHot350),
@@ -200,18 +200,20 @@ func (s *Study) Fig7() ([]TrafficRow, error) {
 	return s.trafficStudy(points)
 }
 
-// trafficStudy evaluates points across the whole static suite, normalized
-// to the namd/350 K-SRAM baseline. The points×benchmarks grid fans out
-// through the explorer's worker pool; rows keep the serial order (each
-// point's benchmarks ascending by read rate).
+// trafficStudy evaluates points across the whole static suite (or only
+// the study's restricted workload), normalized to the namd/350 K-SRAM
+// baseline. The points×benchmarks grid fans out through the explorer's
+// worker pool; rows keep the serial order (each point's benchmarks
+// ascending by read rate).
 func (s *Study) trafficStudy(points []explorer.DesignPoint) ([]TrafficRow, error) {
-	return s.trafficStudyFor(points, workload.SortedByReads())
-}
-
-// trafficStudyFor is trafficStudy over an explicit workload set — the
-// restriction per-workload artifact rendering uses to build Fig. 5 / 7
-// rows for one ingested workload.
-func (s *Study) trafficStudyFor(points []explorer.DesignPoint, traffics []workload.Traffic) ([]TrafficRow, error) {
+	traffics := workload.SortedByReads()
+	if s.only != "" {
+		tr, err := s.trafficFor(s.only)
+		if err != nil {
+			return nil, err
+		}
+		traffics = []workload.Traffic{tr}
+	}
 	base, err := s.baseline()
 	if err != nil {
 		return nil, err

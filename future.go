@@ -2,11 +2,9 @@ package coldtall
 
 import (
 	"fmt"
-	"io"
 
 	"coldtall/internal/cell"
 	"coldtall/internal/explorer"
-	"coldtall/internal/report"
 	"coldtall/internal/stack"
 	"coldtall/internal/tech"
 	"coldtall/internal/workload"
@@ -145,40 +143,6 @@ func (s *Study) ColdAndTallVerdict(benchmark string) (ColdAndTallSummary, error)
 	}
 	sum.WarmENVMPower = best
 	return sum, nil
-}
-
-// RenderColdAndTall prints the combined study for the three band
-// representatives: one table and one verdict line per benchmark. This is
-// the extension study's rich view — the registry's "coldtall" artifact is
-// the same grid flattened into one CSV-exportable table.
-func (s *Study) RenderColdAndTall(w io.Writer) error {
-	for _, bench := range BandRepresentatives() {
-		rows, err := s.ColdAndTall(bench)
-		if err != nil {
-			return err
-		}
-		sum, err := s.ColdAndTallVerdict(bench)
-		if err != nil {
-			return err
-		}
-		t := report.NewTable(
-			fmt.Sprintf("Cold AND tall (Sec. VI future work) under %s traffic (relative to 350K 1-die SRAM on namd)", bench),
-			"design point", "rel power+cooling", "rel latency", "rel area")
-		for _, r := range rows {
-			t.AddRow(r.Label, report.Rel(r.RelTotalPower), report.Rel(r.RelLatency), report.Rel(r.RelArea))
-		}
-		if err := t.Render(w); err != nil {
-			return err
-		}
-		if _, err := fmt.Fprintf(w,
-			"  verdict: power winner %s (%.4g), latency winner %s (%.4g); best warm eNVM %s (%.4g)\n\n",
-			sum.PowerWinner.Label, sum.PowerWinner.RelTotalPower,
-			sum.LatencyWinner.Label, sum.LatencyWinner.RelLatency,
-			sum.WarmENVMLabel, sum.WarmENVMPower); err != nil {
-			return err
-		}
-	}
-	return nil
 }
 
 // BandRepresentatives returns the benchmark names the combined study

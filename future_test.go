@@ -1,7 +1,6 @@
 package coldtall
 
 import (
-	"strings"
 	"testing"
 )
 
@@ -97,19 +96,6 @@ func TestBandRepresentatives(t *testing.T) {
 	for i, name := range want {
 		if reps[i] != name {
 			t.Errorf("representative[%d] = %s, want %s", i, reps[i], name)
-		}
-	}
-}
-
-func TestRenderColdAndTall(t *testing.T) {
-	var b strings.Builder
-	if err := study(t).RenderColdAndTall(&b); err != nil {
-		t.Fatal(err)
-	}
-	out := b.String()
-	for _, want := range []string{"Cold AND tall", "verdict:", "8-die 3T-eDRAM @77K"} {
-		if !strings.Contains(out, want) {
-			t.Errorf("missing %q in output", want)
 		}
 	}
 }

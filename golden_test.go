@@ -32,7 +32,7 @@ var updateGolden = flag.Bool("update", false, "rewrite testdata/golden CSV snaps
 // (its first run fails with "missing golden", prompting an -update).
 var goldenNames = func() map[string]bool {
 	names := make(map[string]bool)
-	for _, file := range Artifacts().Files() {
+	for _, file := range NewStudy().ArtifactNames() {
 		names[file] = true
 	}
 	return names

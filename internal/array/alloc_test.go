@@ -3,6 +3,7 @@
 package array
 
 import (
+	"context"
 	"testing"
 
 	"coldtall/internal/cell"
@@ -20,11 +21,11 @@ const optimizeAllocBudget = 64
 // changes allocation counts, hence the build tag.
 func TestOptimizeAllocations(t *testing.T) {
 	cfg := DefaultLLC(cell.NewSRAM6T(), 350, stack.Planar())
-	if _, err := Optimize(cfg); err != nil { // fills the resistivity memo
+	if _, err := OptimizeContext(context.Background(), cfg); err != nil { // fills the resistivity memo
 		t.Fatal(err)
 	}
 	allocs := testing.AllocsPerRun(20, func() {
-		if _, err := Optimize(cfg); err != nil {
+		if _, err := OptimizeContext(context.Background(), cfg); err != nil {
 			t.Fatal(err)
 		}
 	})

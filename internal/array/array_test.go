@@ -1,6 +1,7 @@
 package array
 
 import (
+	"context"
 	"math"
 	"sync"
 	"testing"
@@ -28,7 +29,7 @@ func llc(t *testing.T, c cell.Cell, temp float64, dies int) Result {
 		return r
 	}
 	cfg := DefaultLLC(c, temp, stack.Config{Dies: dies, Style: stack.TSVStack})
-	r, err := Optimize(cfg)
+	r, err := OptimizeContext(context.Background(), cfg)
 	if err != nil {
 		t.Fatalf("Optimize(%s, %gK, %d dies): %v", c.Name, temp, dies, err)
 	}
@@ -480,7 +481,7 @@ func TestTotalSiliconGrowsWithDies(t *testing.T) {
 
 func TestOptimizeBeatsArbitraryOrganization(t *testing.T) {
 	cfg := DefaultLLC(cell.NewSRAM6T(), 350, stack.Planar())
-	best, err := Optimize(cfg)
+	best, err := OptimizeContext(context.Background(), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -504,17 +505,17 @@ func TestOptimizeTargetsDiffer(t *testing.T) {
 
 	lat := base
 	lat.Target = OptimizeLatency
-	rLat, err := Optimize(lat)
+	rLat, err := OptimizeContext(context.Background(), lat)
 	if err != nil {
 		t.Fatal(err)
 	}
 	area := base
 	area.Target = OptimizeArea
-	rArea, err := Optimize(area)
+	rArea, err := OptimizeContext(context.Background(), area)
 	if err != nil {
 		t.Fatal(err)
 	}
-	rEDP, err := Optimize(base)
+	rEDP, err := OptimizeContext(context.Background(), base)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -529,14 +530,14 @@ func TestOptimizeTargetsDiffer(t *testing.T) {
 func TestOptimizeErrorForImpossibleConfig(t *testing.T) {
 	cfg := DefaultLLC(cell.NewSRAM6T(), 350, stack.Planar())
 	cfg.CapacityBytes = 64 // single block: no feasible organization
-	if _, err := Optimize(cfg); err == nil {
+	if _, err := OptimizeContext(context.Background(), cfg); err == nil {
 		t.Error("expected no-feasible-organization error")
 	}
 }
 
 func TestParetoFrontProperties(t *testing.T) {
 	cfg := DefaultLLC(cell.NewSRAM6T(), 350, stack.Planar())
-	front, err := Pareto(cfg)
+	front, err := ParetoContext(context.Background(), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -558,7 +559,7 @@ func TestParetoFrontProperties(t *testing.T) {
 	}
 	// The EDP optimum must not dominate-strictly-outside the front:
 	// every feasible point is dominated by or present on the front.
-	best, _ := Optimize(cfg)
+	best, _ := OptimizeContext(context.Background(), cfg)
 	dominatedOrPresent := false
 	for _, f := range front {
 		if f.Org == best.Org || dominates(f, best) || !dominates(best, f) {
@@ -584,11 +585,11 @@ func TestFootprintGrowsWithCapacity(t *testing.T) {
 	small.CapacityBytes = 4 << 20
 	large := DefaultLLC(cell.NewSRAM6T(), 350, stack.Planar())
 	large.CapacityBytes = 32 << 20
-	rs, err := Optimize(small)
+	rs, err := OptimizeContext(context.Background(), small)
 	if err != nil {
 		t.Fatal(err)
 	}
-	rl, err := Optimize(large)
+	rl, err := OptimizeContext(context.Background(), large)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -19,11 +19,13 @@ func boundCells(t testing.TB) []cell.Cell {
 		cell.NewPCM(), cell.NewSTTRAM(), cell.NewRRAM(), cell.NewSOTRAM(),
 	}
 	for _, tc := range []cell.Technology{cell.PCM, cell.STTRAM, cell.RRAM, cell.SOTRAM} {
-		opt, pess, err := cell.TentpolePair(tc)
-		if err != nil {
-			t.Fatalf("TentpolePair(%v): %v", tc, err)
+		for _, corner := range cell.Corners() {
+			c, err := cell.Tentpole(tc, corner)
+			if err != nil {
+				t.Fatalf("Tentpole(%v, %v): %v", tc, corner, err)
+			}
+			cells = append(cells, c)
 		}
-		cells = append(cells, opt, pess)
 	}
 	return cells
 }

@@ -26,24 +26,6 @@ const (
 	OptimizeLeakage
 )
 
-// String names the target.
-func (t Target) String() string {
-	switch t {
-	case OptimizeEDP:
-		return "edp"
-	case OptimizeLatency:
-		return "latency"
-	case OptimizeArea:
-		return "area"
-	case OptimizeEnergy:
-		return "energy"
-	case OptimizeLeakage:
-		return "leakage"
-	default:
-		return fmt.Sprintf("Target(%d)", int(t))
-	}
-}
-
 // Config fully describes one memory macro to characterize.
 type Config struct {
 	// CapacityBytes is the usable data capacity (e.g. 16 MiB).

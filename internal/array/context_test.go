@@ -63,9 +63,12 @@ func TestOptimizeContextCancelledMidSearch(t *testing.T) {
 	}
 }
 
+// TestOptimizeBackgroundUnaffected pins the two entry points to one
+// search: OptimizeContext under a background context selects exactly what
+// the instrumented OptimizeWithStats selects.
 func TestOptimizeBackgroundUnaffected(t *testing.T) {
 	cfg := DefaultLLC(cell.NewSRAM6T(), 350, stack.Planar())
-	plain, err := Optimize(cfg)
+	plain, _, err := OptimizeWithStats(context.Background(), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -73,7 +76,7 @@ func TestOptimizeBackgroundUnaffected(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if plain.Org != ctxed.Org || plain.ReadLatency != ctxed.ReadLatency {
-		t.Errorf("OptimizeContext(Background) diverges from Optimize: %v vs %v", ctxed.Org, plain.Org)
+	if plain != ctxed {
+		t.Errorf("OptimizeContext(Background) diverges from OptimizeWithStats: %v vs %v", ctxed.Org, plain.Org)
 	}
 }

@@ -40,18 +40,6 @@ func newHTreeWithWire(footprintM2, banksPerDie float64, corner *tech.DeviceCorne
 	return htree{side: math.Sqrt(footprintM2), hops: hops, wire: w, corner: corner}
 }
 
-// segments returns the hop lengths in metres, root-first. delay and
-// pathLength walk the same sequence without materializing it.
-func (h *htree) segments() []float64 {
-	segs := make([]float64, h.hops)
-	l := h.side
-	for i := range segs {
-		segs[i] = l
-		l /= 2
-	}
-	return segs
-}
-
 // bufferR returns the hop driver resistance at the evaluated corner.
 func (h *htree) bufferR() float64 {
 	return htreeBufR300 / h.corner.OnCurrentScale

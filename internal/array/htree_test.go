@@ -1,6 +1,7 @@
 package array
 
 import (
+	"fmt"
 	"math"
 	"testing"
 	"testing/quick"
@@ -235,5 +236,35 @@ func TestDestructiveReadCostsRestore(t *testing.T) {
 	}
 	if rd.WriteLatency != rn.WriteLatency {
 		t.Error("writes should be unaffected by the read mechanism")
+	}
+}
+
+// segments returns the hop lengths in metres, root-first — the sequence
+// delay and pathLength walk without materializing it.
+func (h *htree) segments() []float64 {
+	segs := make([]float64, h.hops)
+	l := h.side
+	for i := range segs {
+		segs[i] = l
+		l /= 2
+	}
+	return segs
+}
+
+// String names the target in test failure messages.
+func (t Target) String() string {
+	switch t {
+	case OptimizeEDP:
+		return "edp"
+	case OptimizeLatency:
+		return "latency"
+	case OptimizeArea:
+		return "area"
+	case OptimizeEnergy:
+		return "energy"
+	case OptimizeLeakage:
+		return "leakage"
+	default:
+		return fmt.Sprintf("Target(%d)", int(t))
 	}
 }

@@ -4,7 +4,6 @@ import (
 	"cmp"
 	"context"
 	"fmt"
-	"os"
 	"slices"
 	"sort"
 	"sync"
@@ -42,9 +41,10 @@ func enumerateCandidates() []Organization {
 	return out
 }
 
-// Optimize sweeps internal organizations and returns the characterization
-// of the best one under cfg.Target, mirroring the exhaustive organization
-// search CACTI/NVSim/Destiny perform per configuration.
+// OptimizeContext sweeps internal organizations and returns the
+// characterization of the best one under cfg.Target, mirroring the
+// exhaustive organization search CACTI/NVSim/Destiny perform per
+// configuration.
 //
 // The search is pruned: candidates whose admissible lower bound (bound.go)
 // already exceeds the incumbent's objective are skipped without a full
@@ -52,18 +52,14 @@ func enumerateCandidates() []Organization {
 // first, or in the ranking a neighboring design point established), and a
 // per-family ranking memo carries orderings across temperatures and die
 // counts. Pruning is an evaluation-order optimization only — the selected
-// Result is bit-identical to the exhaustive reference (optimizeExhaustive,
-// pinned by the differential harness in differential_test.go and by
-// `make prunecheck`). Infeasible organizations are skipped, not errors.
-func Optimize(cfg Config) (Result, error) {
-	return OptimizeContext(context.Background(), cfg)
-}
-
-// OptimizeContext is Optimize with cooperative cancellation: once ctx is
-// done the organization sweep stops dispatching candidates and the search
-// fails with the cancellation error. A partial sweep is never reduced to a
-// "best" result — a cancelled search could otherwise silently return a
-// different organization than a completed one.
+// Result is bit-identical to the exhaustive reference the differential
+// tests keep (differential_test.go, `make prunecheck`). Infeasible
+// organizations are skipped, not errors.
+//
+// Once ctx is done the organization sweep stops dispatching candidates
+// and the search fails with the cancellation error. A partial sweep is
+// never reduced to a "best" result — a cancelled search could otherwise
+// silently return a different organization than a completed one.
 func OptimizeContext(ctx context.Context, cfg Config) (Result, error) {
 	r, _, err := OptimizeWithStats(ctx, cfg)
 	return r, err
@@ -89,64 +85,12 @@ type SearchStats struct {
 	WarmStart bool
 }
 
-// PruneRate is the fraction of feasible candidates skipped by the bound.
-func (s SearchStats) PruneRate() float64 {
-	feasible := s.Pruned + s.Characterized
-	if feasible == 0 {
-		return 0
-	}
-	return float64(s.Pruned) / float64(feasible)
-}
-
-// forceExhaustive disables pruning when COLDTALL_SEARCH=exhaustive is set —
-// an operational escape hatch that also lets the differential scripts run
-// whole studies through the reference path.
-var forceExhaustive = os.Getenv("COLDTALL_SEARCH") == "exhaustive"
-
 // OptimizeWithStats is OptimizeContext exposing the search instrumentation.
 func OptimizeWithStats(ctx context.Context, cfg Config) (Result, SearchStats, error) {
 	if err := cfg.Validate(); err != nil {
 		return Result{}, SearchStats{}, err
 	}
-	if forceExhaustive {
-		r, err := optimizeExhaustive(ctx, cfg)
-		return r, SearchStats{SpaceSize: SearchSpaceSize()}, err
-	}
 	return optimizePruned(ctx, cfg)
-}
-
-// optimizeExhaustive is the reference search: characterize every candidate
-// on the shared worker pool and reduce sequentially over the fixed
-// enumeration order. It is kept verbatim as the ground truth the pruned
-// path is differenced against; it must select the first candidate (in
-// enumeration order) attaining the minimum objective, i.e. the
-// lexicographic minimum by (objective, enumeration index).
-func optimizeExhaustive(ctx context.Context, cfg Config) (Result, error) {
-	if err := cfg.Validate(); err != nil {
-		return Result{}, err
-	}
-	orgs := candidates()
-	results := characterizeAll(ctx, cfg, orgs)
-	if err := ctx.Err(); err != nil {
-		return Result{}, fmt.Errorf("array: optimize %s cancelled: %w", cfg.Cell.Name, err)
-	}
-
-	var best Result
-	found := false
-	for _, r := range results {
-		if r == nil {
-			continue
-		}
-		if !found || r.objective(cfg.Target) < best.objective(cfg.Target) {
-			best = *r
-			found = true
-		}
-	}
-	if !found {
-		return Result{}, fmt.Errorf("array: no feasible organization for %s at %d B capacity",
-			cfg.Cell.Name, cfg.CapacityBytes)
-	}
-	return best, nil
 }
 
 // searchCandidate is one feasible organization staged for the pruned walk,
@@ -197,10 +141,9 @@ func optimizePruned(ctx context.Context, cfg Config) (Result, SearchStats, error
 	stats := SearchStats{SpaceSize: SearchSpaceSize()}
 	bc, err := newBoundContext(&cfg)
 	if err != nil {
-		// The bound needs the same corner and wires Characterize needs;
-		// if they cannot be built the reference path fails identically.
-		r, err := optimizeExhaustive(ctx, cfg)
-		return r, stats, err
+		// Unreachable after cfg.Validate: it checks everything the corner
+		// and wire constructors reject.
+		return Result{}, stats, err
 	}
 	orgs := candidates()
 	feas := make([]searchCandidate, 0, len(orgs))
@@ -355,14 +298,6 @@ func (m *rankingMemo) update(cfg *Config, evaluated []rankedOrg) {
 	m.m[key] = rank
 }
 
-// resetSearchMemo clears every family ranking — a test and benchmark hook
-// for measuring genuinely cold searches.
-func resetSearchMemo() {
-	searchMemo.mu.Lock()
-	defer searchMemo.mu.Unlock()
-	searchMemo.m = make(map[string][]Organization)
-}
-
 // characterizeAll evaluates every candidate organization on the shared
 // worker pool, returning results indexed by enumeration position (nil for
 // infeasible organizations). The exhaustive reference and Pareto (which
@@ -392,17 +327,12 @@ func SearchSpaceSize() int {
 	return len(searchRows) * len(searchCols) * len(searchMux) * len(searchBank)
 }
 
-// Pareto returns all feasible organizations that are Pareto-optimal in
-// (read latency, mean access energy, footprint), sorted by read latency.
-// It exposes the design space the single-objective Optimize collapses.
+// ParetoContext returns all feasible organizations that are Pareto-optimal
+// in (read latency, mean access energy, footprint), sorted by read latency.
+// It exposes the design space the single-objective search collapses.
 // Candidates are characterized on the shared worker pool; the dominance
 // filter runs over the enumeration order, so the front is deterministic.
-func Pareto(cfg Config) ([]Result, error) {
-	return ParetoContext(context.Background(), cfg)
-}
-
-// ParetoContext is Pareto with cooperative cancellation (see
-// OptimizeContext for the partial-sweep rationale).
+// Cancellation behaves as in OptimizeContext.
 func ParetoContext(ctx context.Context, cfg Config) ([]Result, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
@@ -450,7 +380,7 @@ func tripleOf(r Result) objTriple {
 // queried before insertion, preserving the quadratic filter's rule that
 // exact duplicates do not dominate each other (a distinct triple that is
 // <= component-wise is < somewhere, hence dominates). The quadratic
-// reference survives as paretoFrontQuadratic, pinned equal by
+// all-pairs reference lives in the tests, pinned equal by
 // TestParetoFilterEquivalence.
 func dominatedFlags(all []Result) []bool {
 	n := len(all)
@@ -524,37 +454,4 @@ func (s *staircase) insert(e, f float64) {
 	}
 	s.e = append(s.e[:k], append([]float64{e}, s.e[drop:]...)...)
 	s.f = append(s.f[:k], append([]float64{f}, s.f[drop:]...)...)
-}
-
-// paretoFrontQuadratic is the original all-pairs dominance filter, retained
-// as the reference implementation the fast filter is differenced against.
-func paretoFrontQuadratic(all []Result) []Result {
-	var front []Result
-	for i, a := range all {
-		dominated := false
-		for j, b := range all {
-			if i == j {
-				continue
-			}
-			if dominates(b, a) {
-				dominated = true
-				break
-			}
-		}
-		if !dominated {
-			front = append(front, a)
-		}
-	}
-	sort.Slice(front, func(i, j int) bool { return front[i].ReadLatency < front[j].ReadLatency })
-	return front
-}
-
-// dominates reports whether a is at least as good as b on every objective
-// and strictly better on at least one.
-func dominates(a, b Result) bool {
-	ea := (a.ReadEnergy + a.WriteEnergy) / 2
-	eb := (b.ReadEnergy + b.WriteEnergy) / 2
-	ge := a.ReadLatency <= b.ReadLatency && ea <= eb && a.FootprintM2 <= b.FootprintM2
-	gt := a.ReadLatency < b.ReadLatency || ea < eb || a.FootprintM2 < b.FootprintM2
-	return ge && gt
 }

@@ -1,0 +1,86 @@
+package array
+
+// Test oracles for the organization search: the exhaustive reference the
+// pruned walk must match bit for bit, and the quadratic Pareto filter the
+// staircase filter must match. Production code never runs them.
+
+import (
+	"context"
+	"fmt"
+	"sort"
+)
+
+// optimizeExhaustive is the reference search: characterize every candidate
+// on the shared worker pool and reduce sequentially over the fixed
+// enumeration order. It is the ground truth the pruned path is differenced
+// against; it must select the first candidate (in enumeration order)
+// attaining the minimum objective, i.e. the lexicographic minimum by
+// (objective, enumeration index).
+func optimizeExhaustive(ctx context.Context, cfg Config) (Result, error) {
+	if err := cfg.Validate(); err != nil {
+		return Result{}, err
+	}
+	orgs := candidates()
+	results := characterizeAll(ctx, cfg, orgs)
+	if err := ctx.Err(); err != nil {
+		return Result{}, fmt.Errorf("array: optimize %s cancelled: %w", cfg.Cell.Name, err)
+	}
+
+	var best Result
+	found := false
+	for _, r := range results {
+		if r == nil {
+			continue
+		}
+		if !found || r.objective(cfg.Target) < best.objective(cfg.Target) {
+			best = *r
+			found = true
+		}
+	}
+	if !found {
+		return Result{}, fmt.Errorf("array: no feasible organization for %s at %d B capacity",
+			cfg.Cell.Name, cfg.CapacityBytes)
+	}
+	return best, nil
+}
+
+// resetSearchMemo clears every family ranking, so a test or benchmark
+// measures a genuinely cold search.
+func resetSearchMemo() {
+	searchMemo.mu.Lock()
+	defer searchMemo.mu.Unlock()
+	searchMemo.m = make(map[string][]Organization)
+}
+
+// paretoFrontQuadratic is the all-pairs dominance filter, the reference
+// the staircase filter (dominatedFlags) is differenced against.
+func paretoFrontQuadratic(all []Result) []Result {
+	var front []Result
+	for i, a := range all {
+		dominated := false
+		for j, b := range all {
+			if i == j {
+				continue
+			}
+			if dominates(b, a) {
+				dominated = true
+				break
+			}
+		}
+		if !dominated {
+			front = append(front, a)
+		}
+	}
+	sort.Slice(front, func(i, j int) bool { return front[i].ReadLatency < front[j].ReadLatency })
+	return front
+}
+
+// dominates reports whether a is at least as good as b on every objective
+// and strictly better on at least one.
+func dominates(a, b Result) bool {
+	ea := (a.ReadEnergy + a.WriteEnergy) / 2
+	eb := (b.ReadEnergy + b.WriteEnergy) / 2
+	ge := a.ReadLatency <= b.ReadLatency && ea <= eb && a.FootprintM2 <= b.FootprintM2
+	gt := a.ReadLatency < b.ReadLatency || ea < eb || a.FootprintM2 < b.FootprintM2
+	return ge && gt
+}

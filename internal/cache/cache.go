@@ -76,19 +76,6 @@ func (s *shard[V]) len() int {
 	return s.ll.Len()
 }
 
-// delete removes key and reports whether it was present.
-func (s *shard[V]) delete(key string) bool {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	el, ok := s.m[key]
-	if !ok {
-		return false
-	}
-	s.ll.Remove(el)
-	delete(s.m, key)
-	return true
-}
-
 // deleteFunc removes every entry whose key the predicate accepts and
 // returns how many were removed.
 func (s *shard[V]) deleteFunc(pred func(key string) bool) int {
@@ -237,12 +224,6 @@ func (c *Cache[V]) Add(key string, v V) {
 		c.tier.Store(key, v)
 	}
 }
-
-// Delete removes key from the in-memory LRU and reports whether it was
-// present. The persistence tier is not touched — callers owning durable
-// entries delete them from their store directly (the Tier interface is
-// deliberately write-only from the cache's side).
-func (c *Cache[V]) Delete(key string) bool { return c.shardFor(key).delete(key) }
 
 // DeleteFunc removes every in-memory entry whose key the predicate
 // accepts and returns how many were removed. Used to invalidate all

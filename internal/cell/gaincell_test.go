@@ -85,9 +85,9 @@ func TestGainCellRetentionMagnitudes(t *testing.T) {
 }
 
 func TestGainCellTentpoleCorners(t *testing.T) {
-	opt, pess, err := TentpolePair(OSGC)
+	opt, pess, err := tentpolePair(OSGC)
 	if err != nil {
-		t.Fatalf("TentpolePair(OSGC): %v", err)
+		t.Fatalf("tentpolePair(OSGC): %v", err)
 	}
 	for _, c := range []Cell{opt, pess} {
 		if err := c.Validate(); err != nil {
@@ -122,9 +122,9 @@ func TestENVMTentpolesUnchangedByVolatileAxes(t *testing.T) {
 	// corners keep infinite retention, zero cell leakage and zero
 	// activation, so every seed artifact built from them is unchanged.
 	for _, tc := range []Technology{PCM, STTRAM, RRAM, SOTRAM} {
-		opt, pess, err := TentpolePair(tc)
+		opt, pess, err := tentpolePair(tc)
 		if err != nil {
-			t.Fatalf("TentpolePair(%v): %v", tc, err)
+			t.Fatalf("tentpolePair(%v): %v", tc, err)
 		}
 		for _, c := range []Cell{opt, pess} {
 			if !math.IsInf(c.Retention300S, 1) {

@@ -54,9 +54,9 @@ func TestByTechnologyFiltersExactly(t *testing.T) {
 
 func TestTentpoleOrdering(t *testing.T) {
 	for _, tc := range []Technology{PCM, STTRAM, RRAM, SOTRAM} {
-		opt, pess, err := TentpolePair(tc)
+		opt, pess, err := tentpolePair(tc)
 		if err != nil {
-			t.Fatalf("TentpolePair(%v): %v", tc, err)
+			t.Fatalf("tentpolePair(%v): %v", tc, err)
 		}
 		if err := opt.Validate(); err != nil {
 			t.Errorf("optimistic %v invalid: %v", tc, err)
@@ -86,7 +86,7 @@ func TestTentpoleIsEnvelopeOfDatabase(t *testing.T) {
 	// Property: the optimistic composite is no worse than any individual
 	// entry in every favourable direction, and pessimistic no better.
 	for _, tc := range []Technology{PCM, STTRAM, RRAM, SOTRAM} {
-		opt, pess, _ := TentpolePair(tc)
+		opt, pess, _ := tentpolePair(tc)
 		for _, e := range ByTechnology(tc) {
 			if opt.AreaF2 > e.AreaF2 || pess.AreaF2 < e.AreaF2 {
 				t.Errorf("%v: area envelope violated by %s", tc, e.Name)
@@ -124,11 +124,11 @@ func TestCornerString(t *testing.T) {
 func TestPCMTentpoleMatchesPaperScale(t *testing.T) {
 	// The paper's headline density claim requires an optimistic PCM cell
 	// far below SRAM's 146 F^2 — the survey optimum is ~4.8 F^2.
-	opt, _, _ := TentpolePair(PCM)
+	opt, _, _ := tentpolePair(PCM)
 	if opt.AreaF2 > 6 {
 		t.Errorf("optimistic PCM cell %.1f F^2, want <= 6", opt.AreaF2)
 	}
-	sttOpt, _, _ := TentpolePair(STTRAM)
+	sttOpt, _, _ := tentpolePair(STTRAM)
 	if sttOpt.WritePulseS > 3e-9 {
 		t.Errorf("optimistic STT write pulse %.2g s, want <= 3 ns (fast-write corner)", sttOpt.WritePulseS)
 	}
@@ -174,4 +174,17 @@ func TestCellPropertyDimensionsAlwaysPositive(t *testing.T) {
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
 	}
+}
+
+// tentpolePair returns the optimistic and pessimistic composites.
+func tentpolePair(t Technology) (opt, pess Cell, err error) {
+	opt, err = Tentpole(t, Optimistic)
+	if err != nil {
+		return Cell{}, Cell{}, err
+	}
+	pess, err = Tentpole(t, Pessimistic)
+	if err != nil {
+		return Cell{}, Cell{}, err
+	}
+	return opt, pess, nil
 }

@@ -24,8 +24,8 @@
 // before the ack round-trip is forgotten, so worker crashes, lease
 // expiries and coordinator restarts all resume from the same store the
 // single-process path resumes from. Results are byte-identical to local
-// computation (array.Optimize is deterministic and workers run the same
-// physics under the same cooling), which the differential tests pin.
+// computation (array.OptimizeContext is deterministic and workers run the
+// same physics under the same cooling), which the differential tests pin.
 package cluster
 
 import (

@@ -98,6 +98,11 @@ func (o *Options) fill() {
 type Coordinator struct {
 	opts Options
 
+	// persistMu orders lease-table writes: a snapshot and its store Put
+	// happen under it together, so the last write is always the latest
+	// snapshot (a stale all-pending snapshot cannot land after a grant's).
+	persistMu sync.Mutex
+
 	mu       sync.Mutex
 	workers  map[string]*workerState
 	ring     *ring
@@ -521,6 +526,8 @@ func (c *Coordinator) persistRun(r *run) {
 	if c.opts.Store == nil {
 		return
 	}
+	c.persistMu.Lock()
+	defer c.persistMu.Unlock()
 	c.mu.Lock()
 	if r.finished {
 		c.mu.Unlock()
@@ -880,8 +887,5 @@ func (c *Coordinator) Stats() Stats {
 	}
 	return s
 }
-
-// Cooling reports the coordinator's physics environment.
-func (c *Coordinator) Cooling() cryo.Cooling { return c.opts.Cooling }
 
 var _ job.Distributor = (*Coordinator)(nil)

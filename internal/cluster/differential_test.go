@@ -32,16 +32,23 @@ func runJob(t *testing.T, dist job.Distributor, spec job.Spec) []byte {
 		t.Fatal(err)
 	}
 	t.Cleanup(m.Close)
-	st0, err := m.Submit(spec)
+	st0, _, err := m.SubmitAs(spec, "", 0)
 	if err != nil {
 		t.Fatal(err)
 	}
 	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Minute)
 	defer cancel()
-	st, err := m.WaitFor(ctx, st0.ID)
-	if err != nil {
-		t.Fatalf("job %s did not finish: %v", st0.ID, err)
+	sub, ok := m.Subscribe(st0.ID)
+	if !ok {
+		t.Fatalf("job %s vanished", st0.ID)
 	}
+	defer sub.Close()
+	select {
+	case <-sub.Done():
+	case <-ctx.Done():
+		t.Fatalf("job %s did not finish: %v", st0.ID, ctx.Err())
+	}
+	st := sub.Status()
 	if st.State != job.StateDone {
 		t.Fatalf("job %s state %s (%s)", st0.ID, st.State, st.Error)
 	}

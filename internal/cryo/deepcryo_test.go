@@ -71,12 +71,14 @@ func TestTotalPowerUsesTemperatureResolvedOverhead(t *testing.T) {
 }
 
 func TestBreakEvenReductionAt(t *testing.T) {
+	// The break-even factor at an operating temperature is the total power
+	// one cooled watt costs there: flat down to 77 K, Carnot-scaled below.
 	c := DefaultCooling()
-	if got, want := c.BreakEvenReductionAt(77), c.BreakEvenReduction(); got != want {
-		t.Errorf("BreakEvenReductionAt(77) = %g, want the flat %g", got, want)
+	if got, want := c.TotalPower(1, 77), 1+c.Class.Overhead(); got != want {
+		t.Errorf("break-even at 77 K = %g, want the flat %g", got, want)
 	}
-	if got := c.BreakEvenReductionAt(4); got <= c.BreakEvenReduction() {
-		t.Errorf("BreakEvenReductionAt(4) = %g, want above the 77 K value", got)
+	if got := c.TotalPower(1, 4); got <= c.TotalPower(1, 77) {
+		t.Errorf("break-even at 4 K = %g, want above the 77 K value", got)
 	}
 }
 

@@ -133,9 +133,6 @@ func New(cfg Config, t float64) (Model, error) {
 	}, nil
 }
 
-// Config returns the underlying configuration.
-func (m Model) Config() Config { return m.cfg }
-
 // Temperature returns the evaluated operating temperature.
 func (m Model) Temperature() float64 { return m.corner.Temperature }
 
@@ -202,11 +199,4 @@ func (m Model) Power(accessesPerSec, rowHitRate float64) float64 {
 	}
 	eAvg := rowHitRate*m.AccessEnergy(true) + (1-rowHitRate)*m.AccessEnergy(false)
 	return m.BackgroundPower() + m.RefreshPower() + accessesPerSec*eAvg
-}
-
-// Bandwidth returns the sustainable random-access rate across all banks.
-func (m Model) Bandwidth() float64 {
-	banks := float64(m.cfg.Channels * m.cfg.RanksPerChannel * m.cfg.BanksPerRank)
-	cycle := m.AccessLatency(false)
-	return banks / cycle * 0.5
 }

@@ -163,3 +163,10 @@ func TestLatencyMonotoneInTemperatureProperty(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// Bandwidth returns the sustainable random-access rate across all banks.
+func (m Model) Bandwidth() float64 {
+	banks := float64(m.cfg.Channels * m.cfg.RanksPerChannel * m.cfg.BanksPerRank)
+	cycle := m.AccessLatency(false)
+	return banks / cycle * 0.5
+}

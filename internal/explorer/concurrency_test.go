@@ -6,6 +6,7 @@ package explorer
 // GOMAXPROCS is 1.
 
 import (
+	"context"
 	"reflect"
 	"sync"
 	"testing"
@@ -105,14 +106,14 @@ func TestEvaluateAllParallelMatchesSerial(t *testing.T) {
 
 	serial := New()
 	serial.Workers = 1
-	want, err := serial.EvaluateAll(points, traffics)
+	want, err := serial.EvaluateAllContext(context.Background(), points, traffics)
 	if err != nil {
 		t.Fatal(err)
 	}
 
 	par := New()
 	par.Workers = 8
-	got, err := par.EvaluateAll(points, traffics)
+	got, err := par.EvaluateAllContext(context.Background(), points, traffics)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -92,11 +92,11 @@ type charState struct {
 	mu sync.Mutex
 
 	// flight deduplicates in-flight characterizations so the expensive
-	// array.Optimize search runs at most once per design-point key even
-	// under concurrent callers.
+	// array.OptimizeContext search runs at most once per design-point key
+	// even under concurrent callers.
 	flight parallel.Flight[array.Result]
 
-	// optimizeCalls counts actual array.Optimize invocations (cache,
+	// optimizeCalls counts actual array.OptimizeContext invocations (cache,
 	// flight and persistence hits excluded) — observable via the
 	// concurrency tests.
 	optimizeCalls atomic.Int64
@@ -265,7 +265,7 @@ func (e *Explorer) CachedCharacterization(p DesignPoint) (array.Result, bool) {
 // SeedCharacterization installs an externally computed characterization
 // for a point, filling the in-process cache and writing through the
 // persistence hook exactly as CharacterizeContext would have. The cluster
-// layer uses it to land worker-computed results: array.Optimize is
+// layer uses it to land worker-computed results: array.OptimizeContext is
 // deterministic (the pruned/exhaustive differential pins this), so a
 // seeded result is identical to what a local computation would produce and
 // every artifact rendered from it stays byte-identical.
@@ -378,14 +378,6 @@ func lifetimeYears(r array.Result, p DesignPoint, tr workload.Traffic) float64 {
 	writesPerBlockPerSec := tr.WritesPerSec / blocks
 	seconds := p.Cell.EnduranceCycles / writesPerBlockPerSec
 	return seconds / (365.25 * 24 * 3600)
-}
-
-// EvaluateAll crosses design points with benchmarks; results are indexed
-// [point][benchmark] following the input orders. The grid is evaluated on
-// the explorer's worker pool (Workers knob); cells land at their input
-// positions, so the output is identical to the serial walk cell for cell.
-func (e *Explorer) EvaluateAll(points []DesignPoint, traffics []workload.Traffic) ([][]Evaluation, error) {
-	return e.EvaluateAllContext(context.Background(), points, traffics)
 }
 
 // EvaluateAllContext is EvaluateAll with cooperative cancellation: once ctx

@@ -1,6 +1,8 @@
 package explorer
 
 import (
+	"context"
+	"fmt"
 	"math"
 	"sync"
 	"testing"
@@ -545,7 +547,7 @@ func TestNormalizeAgainstBaseline(t *testing.T) {
 func TestEvaluateAllShape(t *testing.T) {
 	pts := []DesignPoint{Baseline(), SRAMAt(tech.TempCryo77)}
 	trs := workload.StaticTraffic()[:3]
-	grid, err := exp(t).EvaluateAll(pts, trs)
+	grid, err := exp(t).EvaluateAllContext(context.Background(), pts, trs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -816,4 +818,28 @@ func TestLifetimeScalesWithCapacity(t *testing.T) {
 	if ratio < 7.9 || ratio > 8.1 {
 		t.Errorf("8x capacity should give 8x lifetime, got %.2fx", ratio)
 	}
+}
+
+// TableII computes the full optimal-LLC summary: every band crossed with
+// every objective.
+func (e *Explorer) TableII() ([]Choice, error) {
+	var out []Choice
+	for _, b := range workload.Bands() {
+		for _, o := range Objectives() {
+			c, err := e.OptimalChoice(b, o)
+			if err != nil {
+				return nil, err
+			}
+			out = append(out, c)
+		}
+	}
+	return out, nil
+}
+
+// WithCapacity returns a copy of the point at a different LLC capacity.
+func (p DesignPoint) WithCapacity(bytes int64) DesignPoint {
+	out := p
+	out.CapacityBytes = bytes
+	out.Label = fmt.Sprintf("%s %dMiB", p.Label, bytes>>20)
+	return out
 }

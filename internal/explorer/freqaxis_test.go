@@ -1,6 +1,7 @@
 package explorer
 
 import (
+	"fmt"
 	"math"
 	"strings"
 	"testing"
@@ -131,4 +132,12 @@ func TestEvaluateScalesTrafficWithFrequency(t *testing.T) {
 	if again.Traffic != tr || again.DevicePower != base.DevicePower {
 		t.Error("default-clock evaluation is not the exact identity")
 	}
+}
+
+// WithFrequency returns a copy of the point at a different core clock.
+func (p DesignPoint) WithFrequency(hz float64) DesignPoint {
+	out := p
+	out.FrequencyHz = hz
+	out.Label = fmt.Sprintf("%s @%.2gGHz", p.Label, hz/1e9)
+	return out
 }

@@ -65,9 +65,9 @@ func FuzzParsePoint(f *testing.F) {
 			t.Fatalf("accepted point has empty identity: %+v", p)
 		}
 
-		canon := spec.Canonical()
-		if again := canon.Canonical(); again != canon {
-			t.Errorf("Canonical not idempotent: %+v -> %+v", canon, again)
+		canon := spec.withDefaults()
+		if again := canon.withDefaults(); again != canon {
+			t.Errorf("withDefaults not idempotent: %+v -> %+v", canon, again)
 		}
 		p2, err := ParsePoint(canon)
 		if err != nil {

@@ -1,6 +1,7 @@
 package explorer
 
 import (
+	"context"
 	"testing"
 
 	"coldtall/internal/workload"
@@ -91,7 +92,7 @@ func TestEvaluateAllMatchesSerialWalk(t *testing.T) {
 		{ReadsPerSec: 2e9, WritesPerSec: 9e8},
 	}
 	e := New()
-	got, err := e.EvaluateAll(pts, traffics)
+	got, err := e.EvaluateAllContext(context.Background(), pts, traffics)
 	if err != nil {
 		t.Fatalf("EvaluateAll: %v", err)
 	}

@@ -156,19 +156,3 @@ func altEligible(obj Objective, winner, alt Evaluation) bool {
 func (e *Explorer) Optimal3DChoice(b workload.Band, obj Objective) (Choice, error) {
 	return e.choose(b, obj, func(p DesignPoint) bool { return p.Temperature >= 300 })
 }
-
-// TableII computes the full optimal-LLC summary: every band crossed with
-// every objective.
-func (e *Explorer) TableII() ([]Choice, error) {
-	var out []Choice
-	for _, b := range workload.Bands() {
-		for _, o := range Objectives() {
-			c, err := e.OptimalChoice(b, o)
-			if err != nil {
-				return nil, err
-			}
-			out = append(out, c)
-		}
-	}
-	return out, nil
-}

@@ -125,22 +125,6 @@ func (p DesignPoint) WithNode(n tech.Node) DesignPoint {
 	return out
 }
 
-// WithCapacity returns a copy of the point at a different LLC capacity.
-func (p DesignPoint) WithCapacity(bytes int64) DesignPoint {
-	out := p
-	out.CapacityBytes = bytes
-	out.Label = fmt.Sprintf("%s %dMiB", p.Label, bytes>>20)
-	return out
-}
-
-// WithFrequency returns a copy of the point at a different core clock.
-func (p DesignPoint) WithFrequency(hz float64) DesignPoint {
-	out := p
-	out.FrequencyHz = hz
-	out.Label = fmt.Sprintf("%s @%.2gGHz", p.Label, hz/1e9)
-	return out
-}
-
 // String returns the label.
 func (p DesignPoint) String() string { return p.Label }
 

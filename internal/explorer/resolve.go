@@ -33,7 +33,10 @@ type PointSpec struct {
 }
 
 // withDefaults returns the spec with zero values replaced by the study's
-// defaults, so equal effective points canonicalize to equal specs.
+// defaults, so equal effective points canonicalize to equal specs. It is
+// a fixed point of parsing: for any spec ParsePoint accepts,
+// ParsePoint(spec).Spec() == spec.withDefaults(), and applying it twice
+// changes nothing (FuzzParsePoint pins both properties).
 func (ps PointSpec) withDefaults() PointSpec {
 	if ps.Corner == "" {
 		ps.Corner = cell.Optimistic.String()
@@ -52,14 +55,6 @@ func (ps PointSpec) withDefaults() PointSpec {
 	}
 	return ps
 }
-
-// Canonical returns the spec with the defaults filled in: equal effective
-// points have equal canonical specs. This is the form cache keys are
-// derived from, and it is a fixed point of parsing — for any spec that
-// ParsePoint accepts, ParsePoint(spec).Spec() == spec.Canonical(), and
-// canonicalizing a canonical spec changes nothing (FuzzParsePoint pins
-// both properties).
-func (ps PointSpec) Canonical() PointSpec { return ps.withDefaults() }
 
 // ParsePoint resolves a spec into a validated design point. The label
 // matches the CLI sweep convention ("8-die PCM @350K").

@@ -5,6 +5,8 @@ import (
 	"context"
 	"errors"
 	"path/filepath"
+	"sort"
+	"strings"
 	"testing"
 
 	"coldtall/internal/store"
@@ -175,4 +177,17 @@ func TestUploadsDiscardKeepsSharedChunks(t *testing.T) {
 	if !bytes.Equal(got, shared) {
 		t.Fatal("shared chunk lost with the discarded upload")
 	}
+}
+
+// Pending lists the names of in-flight uploads, sorted.
+func (u *Uploads) Pending() ([]string, error) {
+	var names []string
+	err := u.st.Walk(func(key string, val []byte) error {
+		if strings.HasPrefix(key, UploadKeyPrefix) {
+			names = append(names, strings.TrimPrefix(key, UploadKeyPrefix))
+		}
+		return nil
+	})
+	sort.Strings(names)
+	return names, err
 }

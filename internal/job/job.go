@@ -129,14 +129,6 @@ type Spec struct {
 // long-running, not unbounded.
 const sweepGridLimit = 64
 
-// Validate checks the spec against the static workload table. Managers
-// with a dynamic registry attached validate through ValidateWith instead,
-// so sweeps and restricted artifact jobs can also name ingested
-// workloads.
-func (sp Spec) Validate() error {
-	return sp.ValidateWith(workload.StaticTrafficFor)
-}
-
 // ValidateWith checks the spec, resolving sweep points with the explorer's
 // parser and benchmark/workload names through resolve (the same paths the
 // synchronous endpoints use, so a spec rejected here would have been

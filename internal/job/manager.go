@@ -69,11 +69,11 @@ type Options struct {
 	// rest wait in the scheduler's queues. Each running job still fans
 	// its cells across the Workers pool.
 	MaxConcurrent int
-	// Scheduler selects the dispatch policy: SchedFair (default) runs
+	// scheduler selects the dispatch policy: schedFair (default) runs
 	// interactive jobs ahead of bulk with deficit-round-robin fair share
-	// across tenants; SchedFIFO dispatches in arrival order and exists
-	// for the differential byte-identity test.
-	Scheduler string
+	// across tenants; schedFIFO dispatches in arrival order and is set
+	// only by the differential byte-identity test.
+	scheduler string
 	// TenantWeight resolves a tenant name to its fair-share weight for
 	// DRR dispatch; nil weights every tenant 1.
 	TenantWeight func(tenant string) float64
@@ -92,8 +92,8 @@ func (o Options) withDefaults() Options {
 	if o.MaxConcurrent == 0 {
 		o.MaxConcurrent = 2
 	}
-	if o.Scheduler == "" {
-		o.Scheduler = SchedFair
+	if o.scheduler == "" {
+		o.scheduler = schedFair
 	}
 	return o
 }
@@ -173,7 +173,7 @@ func NewManager(study *coldtall.Study, opts Options) (*Manager, error) {
 		baseCtx:    ctx,
 		baseCancel: cancel,
 	}
-	m.sched = newScheduler(m.opts.Scheduler, m.opts.MaxConcurrent, m.opts.TenantWeight)
+	m.sched = newScheduler(m.opts.scheduler, m.opts.MaxConcurrent, m.opts.TenantWeight)
 	m.evalCell = func(ctx context.Context, p explorer.DesignPoint, tr workload.Traffic) (explorer.Evaluation, error) {
 		return study.Explorer().EvaluateContext(ctx, p, tr)
 	}
@@ -194,15 +194,6 @@ func (m *Manager) trafficFor(name string) (workload.Traffic, error) {
 		return m.opts.Workloads.Traffic(name)
 	}
 	return workload.StaticTrafficFor(name)
-}
-
-// Submit validates the spec and enqueues (or finds) its job. Submission
-// is idempotent: the same spec maps to the same deterministic ID, and a
-// live or completed job under that ID is returned as-is rather than
-// re-run. Tenantless submissions dispatch under the anonymous owner.
-func (m *Manager) Submit(spec Spec) (Status, error) {
-	st, _, err := m.SubmitAs(spec, "", 0)
-	return st, err
 }
 
 // SubmitAs is Submit on behalf of a tenant: owner is recorded on the
@@ -554,22 +545,6 @@ func (j *Job) Status() Status {
 
 // Done returns a channel closed when the job reaches a terminal state.
 func (j *Job) Done() <-chan struct{} { return j.fin }
-
-// WaitFor blocks until the job with id finishes or ctx expires.
-func (m *Manager) WaitFor(ctx context.Context, id string) (Status, error) {
-	m.mu.Lock()
-	j, ok := m.jobs[id]
-	m.mu.Unlock()
-	if !ok {
-		return Status{}, fmt.Errorf("job: unknown job %q", id)
-	}
-	select {
-	case <-j.fin:
-		return j.Status(), nil
-	case <-ctx.Done():
-		return j.Status(), ctx.Err()
-	}
-}
 
 // Subscription is one live status stream over a job. C delivers
 // coalesced snapshots: the channel is one deep and written latest-wins,

@@ -4,6 +4,7 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -66,7 +67,7 @@ func waitDone(t *testing.T, m *Manager, id string) Status {
 
 func TestSweepJobLifecycle(t *testing.T) {
 	m := newTestManager(t, Options{})
-	st0, err := m.Submit(sweepSpec())
+	st0, _, err := m.SubmitAs(sweepSpec(), "", 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -92,11 +93,11 @@ func TestSweepJobLifecycle(t *testing.T) {
 
 func TestSubmitIsIdempotent(t *testing.T) {
 	m := newTestManager(t, Options{})
-	a, err := m.Submit(sweepSpec())
+	a, _, err := m.SubmitAs(sweepSpec(), "", 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := m.Submit(sweepSpec())
+	b, _, err := m.SubmitAs(sweepSpec(), "", 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -119,7 +120,7 @@ func TestSubmitValidates(t *testing.T) {
 		{Kind: KindArtifact, Artifact: "not-an-artifact"},
 	}
 	for i, spec := range bad {
-		if _, err := m.Submit(spec); err == nil {
+		if _, _, err := m.SubmitAs(spec, "", 0); err == nil {
 			t.Errorf("bad[%d] (%+v) was accepted", i, spec)
 		}
 	}
@@ -130,7 +131,7 @@ func TestSubmitValidates(t *testing.T) {
 // test also checks end-to-end over HTTP.
 func TestArtifactJobMatchesStudy(t *testing.T) {
 	m := newTestManager(t, Options{})
-	st0, err := m.Submit(Spec{Kind: KindArtifact, Artifact: "table1"})
+	st0, _, err := m.SubmitAs(Spec{Kind: KindArtifact, Artifact: "table1"}, "", 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -163,7 +164,7 @@ func TestRetryBackoff(t *testing.T) {
 		}
 		return real(ctx, p, tr)
 	}
-	st0, err := m.Submit(Spec{Kind: KindSweep, Points: []explorer.PointSpec{{Cell: "SRAM"}}, Benchmarks: []string{"namd"}})
+	st0, _, err := m.SubmitAs(Spec{Kind: KindSweep, Points: []explorer.PointSpec{{Cell: "SRAM"}}, Benchmarks: []string{"namd"}}, "", 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -183,7 +184,7 @@ func TestRetryExhaustionFailsJob(t *testing.T) {
 	m.evalCell = func(ctx context.Context, p explorer.DesignPoint, tr workload.Traffic) (explorer.Evaluation, error) {
 		return explorer.Evaluation{}, errors.New("permanent")
 	}
-	st0, err := m.Submit(Spec{Kind: KindSweep, Points: []explorer.PointSpec{{Cell: "SRAM"}}, Benchmarks: []string{"namd"}})
+	st0, _, err := m.SubmitAs(Spec{Kind: KindSweep, Points: []explorer.PointSpec{{Cell: "SRAM"}}, Benchmarks: []string{"namd"}}, "", 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -216,7 +217,7 @@ func TestCancelMidSweep(t *testing.T) {
 		<-ctx.Done()
 		return explorer.Evaluation{}, ctx.Err()
 	}
-	st0, err := m.Submit(Spec{Kind: KindSweep, Points: []explorer.PointSpec{{Cell: "SRAM"}}, Benchmarks: []string{"namd"}})
+	st0, _, err := m.SubmitAs(Spec{Kind: KindSweep, Points: []explorer.PointSpec{{Cell: "SRAM"}}, Benchmarks: []string{"namd"}}, "", 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -270,7 +271,7 @@ func TestCrashRecoveryResumesFromCheckpoints(t *testing.T) {
 		}
 		return real1(ctx, p, tr)
 	}
-	sub, err := m1.Submit(spec)
+	sub, _, err := m1.SubmitAs(spec, "", 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -359,7 +360,7 @@ func TestRecoverServesFinishedJob(t *testing.T) {
 	dir := t.TempDir()
 	st1 := openStore(t, dir)
 	m1 := newTestManager(t, Options{Store: st1})
-	sub, err := m1.Submit(Spec{Kind: KindArtifact, Artifact: "table1"})
+	sub, _, err := m1.SubmitAs(Spec{Kind: KindArtifact, Artifact: "table1"}, "", 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -400,7 +401,7 @@ func TestTransitionHookObservesLifecycle(t *testing.T) {
 		}
 	}}
 	m := newTestManager(t, opts)
-	if _, err := m.Submit(Spec{Kind: KindArtifact, Artifact: "table1"}); err != nil {
+	if _, _, err := m.SubmitAs(Spec{Kind: KindArtifact, Artifact: "table1"}, "", 0); err != nil {
 		t.Fatal(err)
 	}
 	select {
@@ -440,7 +441,7 @@ func TestIngestJobLifecycle(t *testing.T) {
 		OnIngest:  func(res ingest.Result) { hooked.Add(1) },
 	})
 
-	sub, err := m.Submit(Spec{Kind: KindIngest, Ingest: ingestSpec("upstream")})
+	sub, _, err := m.SubmitAs(Spec{Kind: KindIngest, Ingest: ingestSpec("upstream")}, "", 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -472,7 +473,7 @@ func TestIngestJobLifecycle(t *testing.T) {
 	}
 
 	// Resubmitting the identical spec reuses the finished job.
-	again, err := m.Submit(Spec{Kind: KindIngest, Ingest: ingestSpec("upstream")})
+	again, _, err := m.SubmitAs(Spec{Kind: KindIngest, Ingest: ingestSpec("upstream")}, "", 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -485,10 +486,10 @@ func TestIngestJobLifecycle(t *testing.T) {
 // work up front.
 func TestIngestJobRequiresRegistry(t *testing.T) {
 	m := newTestManager(t, Options{})
-	if _, err := m.Submit(Spec{Kind: KindIngest, Ingest: ingestSpec("x")}); err == nil {
+	if _, _, err := m.SubmitAs(Spec{Kind: KindIngest, Ingest: ingestSpec("x")}, "", 0); err == nil {
 		t.Fatal("ingest accepted without a registry")
 	}
-	if _, err := m.Submit(Spec{Kind: KindIngest}); err == nil {
+	if _, _, err := m.SubmitAs(Spec{Kind: KindIngest}, "", 0); err == nil {
 		t.Fatal("ingest accepted without a spec")
 	}
 }
@@ -501,7 +502,7 @@ func TestWorkloadArtifactJobMatchesSync(t *testing.T) {
 	reg := workload.NewRegistry()
 	m := newTestManager(t, Options{Workloads: reg})
 
-	sub, err := m.Submit(Spec{Kind: KindIngest, Ingest: ingestSpec("mine")})
+	sub, _, err := m.SubmitAs(Spec{Kind: KindIngest, Ingest: ingestSpec("mine")}, "", 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -509,7 +510,7 @@ func TestWorkloadArtifactJobMatchesSync(t *testing.T) {
 		t.Fatalf("ingest failed: %+v", fin)
 	}
 
-	art, err := m.Submit(Spec{Kind: KindArtifact, Artifact: "fig5", Workload: "mine"})
+	art, _, err := m.SubmitAs(Spec{Kind: KindArtifact, Artifact: "fig5", Workload: "mine"}, "", 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -529,11 +530,27 @@ func TestWorkloadArtifactJobMatchesSync(t *testing.T) {
 	}
 
 	// Restricting a workload-independent artifact is rejected at submit.
-	if _, err := m.Submit(Spec{Kind: KindArtifact, Artifact: "fig1", Workload: "mine"}); err == nil {
+	if _, _, err := m.SubmitAs(Spec{Kind: KindArtifact, Artifact: "fig1", Workload: "mine"}, "", 0); err == nil {
 		t.Fatal("fig1 accepted a workload restriction")
 	}
 	// Unknown workloads are rejected at submit.
-	if _, err := m.Submit(Spec{Kind: KindArtifact, Artifact: "fig5", Workload: "ghost"}); err == nil {
+	if _, _, err := m.SubmitAs(Spec{Kind: KindArtifact, Artifact: "fig5", Workload: "ghost"}, "", 0); err == nil {
 		t.Fatal("unknown workload accepted")
+	}
+}
+
+// WaitFor blocks until the job with id finishes or ctx expires.
+func (m *Manager) WaitFor(ctx context.Context, id string) (Status, error) {
+	m.mu.Lock()
+	j, ok := m.jobs[id]
+	m.mu.Unlock()
+	if !ok {
+		return Status{}, fmt.Errorf("job: unknown job %q", id)
+	}
+	select {
+	case <-j.fin:
+		return j.Status(), nil
+	case <-ctx.Done():
+		return j.Status(), ctx.Err()
 	}
 }

@@ -2,12 +2,13 @@ package job
 
 import "sync"
 
-// Scheduler modes. Fair is the production default; FIFO exists so the
-// differential test can prove fair-share dispatch changes only the
-// order work starts, never the bytes it produces.
+// Scheduler modes. Fair is the only production mode; FIFO is kept as the
+// reference the differential test (TestFairMatchesFIFOByteIdentical)
+// proves fair-share dispatch against: it changes only the order work
+// starts, never the bytes it produces.
 const (
-	SchedFair = "fair"
-	SchedFIFO = "fifo"
+	schedFair = "fair"
+	schedFIFO = "fifo"
 )
 
 // drrQuantum is the deficit credit (in estimated cells) a tenant of
@@ -34,8 +35,8 @@ type scheduler struct {
 
 	mu      sync.Mutex
 	running int
-	fifo    []*Job        // SchedFIFO: one global arrival-order queue
-	classes [2]classQueue // SchedFair: [interactive, bulk]
+	fifo    []*Job        // schedFIFO: one global arrival-order queue
+	classes [2]classQueue // schedFair: [interactive, bulk]
 }
 
 // classQueue is one priority class's per-tenant queue set with DRR
@@ -92,7 +93,7 @@ func schedCost(j *Job) float64 {
 func (s *scheduler) add(j *Job) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.mode == SchedFIFO {
+	if s.mode == schedFIFO {
 		s.fifo = append(s.fifo, j)
 		return
 	}
@@ -116,7 +117,7 @@ func (s *scheduler) pick() *Job {
 		return nil
 	}
 	var j *Job
-	if s.mode == SchedFIFO {
+	if s.mode == schedFIFO {
 		if len(s.fifo) > 0 {
 			j = s.fifo[0]
 			s.fifo = s.fifo[1:]
@@ -230,17 +231,4 @@ func (s *scheduler) drainAll() []*Job {
 		cq.next = 0
 	}
 	return out
-}
-
-// queuedLen reports how many jobs are waiting (all classes).
-func (s *scheduler) queuedLen() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	n := len(s.fifo)
-	for c := range s.classes {
-		for _, tq := range s.classes[c].tenants {
-			n += len(tq.jobs)
-		}
-	}
-	return n
 }

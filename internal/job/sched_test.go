@@ -32,7 +32,7 @@ func pickAll(s *scheduler) []string {
 
 func TestSchedulerWeightedShare(t *testing.T) {
 	weights := map[string]float64{"alice": 4, "bob": 1}
-	s := newScheduler(SchedFair, 1, func(name string) float64 { return weights[name] })
+	s := newScheduler(schedFair, 1, func(name string) float64 { return weights[name] })
 	// Equal-cost bulk jobs (one full 64-cell quantum each) from both
 	// tenants: a 4x weight must earn a 4:1 dispatch share.
 	for i := 0; i < 5; i++ {
@@ -52,7 +52,7 @@ func TestSchedulerWeightedShare(t *testing.T) {
 }
 
 func TestSchedulerInteractiveBeforeBulk(t *testing.T) {
-	s := newScheduler(SchedFair, 1, nil)
+	s := newScheduler(schedFair, 1, nil)
 	bulk1 := qjob(KindSweep, "alice", 64)
 	inter := qjob(KindEvaluate, "alice", 1)
 	bulk2 := qjob(KindArtifact, "alice", 1)
@@ -73,7 +73,7 @@ func TestSchedulerInteractiveBeforeBulk(t *testing.T) {
 }
 
 func TestSchedulerSlotCapAndRemove(t *testing.T) {
-	s := newScheduler(SchedFair, 1, nil)
+	s := newScheduler(schedFair, 1, nil)
 	a, b := qjob(KindSweep, "", 1), qjob(KindSweep, "", 1)
 	s.add(a)
 	s.add(b)
@@ -140,15 +140,15 @@ func TestInteractiveDequeuesAheadOfQueuedBulk(t *testing.T) {
 	// Bulk A occupies the single slot; bulk B queues behind it; then the
 	// interactive evaluate I arrives last. Fair dispatch must run I
 	// before B once A's slot frees.
-	a, err := m.Submit(Spec{Kind: KindSweep, Points: []explorer.PointSpec{{Cell: "SRAM"}}, Benchmarks: []string{"namd"}})
+	a, _, err := m.SubmitAs(Spec{Kind: KindSweep, Points: []explorer.PointSpec{{Cell: "SRAM"}}, Benchmarks: []string{"namd"}}, "", 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := m.Submit(Spec{Kind: KindSweep, Points: []explorer.PointSpec{{Cell: "SRAM", TemperatureK: 77}}, Benchmarks: []string{"namd"}})
+	b, _, err := m.SubmitAs(Spec{Kind: KindSweep, Points: []explorer.PointSpec{{Cell: "SRAM", TemperatureK: 77}}, Benchmarks: []string{"namd"}}, "", 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	i, err := m.Submit(Spec{Kind: KindEvaluate, Points: []explorer.PointSpec{{Cell: "3T-eDRAM"}}, Benchmarks: []string{"namd"}})
+	i, _, err := m.SubmitAs(Spec{Kind: KindEvaluate, Points: []explorer.PointSpec{{Cell: "3T-eDRAM"}}, Benchmarks: []string{"namd"}}, "", 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -180,11 +180,11 @@ func TestFairMatchesFIFOByteIdentical(t *testing.T) {
 		{Kind: KindArtifact, Artifact: "table1"},
 	}
 	run := func(mode string) map[string][]byte {
-		m := newTestManager(t, Options{Scheduler: mode, MaxConcurrent: 1})
+		m := newTestManager(t, Options{scheduler: mode, MaxConcurrent: 1})
 		out := map[string][]byte{}
 		var ids []string
 		for _, sp := range specs {
-			st, err := m.Submit(sp)
+			st, _, err := m.SubmitAs(sp, "", 0)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -200,8 +200,8 @@ func TestFairMatchesFIFOByteIdentical(t *testing.T) {
 		}
 		return out
 	}
-	fifo := run(SchedFIFO)
-	fair := run(SchedFair)
+	fifo := run(schedFIFO)
+	fair := run(schedFair)
 	if len(fifo) != len(fair) {
 		t.Fatalf("job sets diverge: fifo %d, fair %d", len(fifo), len(fair))
 	}
@@ -248,11 +248,11 @@ func TestCancelQueuedJobNeverRuns(t *testing.T) {
 	m, gate, started, mu := blockingManager(t, Options{})
 	defer close(gate)
 
-	a, err := m.Submit(Spec{Kind: KindSweep, Points: []explorer.PointSpec{{Cell: "SRAM"}}, Benchmarks: []string{"namd"}})
+	a, _, err := m.SubmitAs(Spec{Kind: KindSweep, Points: []explorer.PointSpec{{Cell: "SRAM"}}, Benchmarks: []string{"namd"}}, "", 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := m.Submit(Spec{Kind: KindSweep, Points: []explorer.PointSpec{{Cell: "SRAM", TemperatureK: 77}}, Benchmarks: []string{"namd"}})
+	b, _, err := m.SubmitAs(Spec{Kind: KindSweep, Points: []explorer.PointSpec{{Cell: "SRAM", TemperatureK: 77}}, Benchmarks: []string{"namd"}}, "", 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -279,7 +279,7 @@ func TestListPageFilterAndCursor(t *testing.T) {
 	cells := []string{"SRAM", "3T-eDRAM", "1T1C-eDRAM"}
 	var ids []string
 	for _, cell := range cells {
-		st, err := m.Submit(Spec{Kind: KindSweep, Points: []explorer.PointSpec{{Cell: cell}}, Benchmarks: []string{"namd"}})
+		st, _, err := m.SubmitAs(Spec{Kind: KindSweep, Points: []explorer.PointSpec{{Cell: cell}}, Benchmarks: []string{"namd"}}, "", 0)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -313,7 +313,7 @@ func TestListPageFilterAndCursor(t *testing.T) {
 
 func TestSubscribeStreamsToTerminal(t *testing.T) {
 	m := newTestManager(t, Options{})
-	st, err := m.Submit(sweepSpec())
+	st, _, err := m.SubmitAs(sweepSpec(), "", 0)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -32,20 +32,6 @@ func Workers(n int) int {
 	return n
 }
 
-// ForEach runs fn(i) for i in [0, n) on at most workers goroutines
-// (normalized through Workers) and returns the first error by input order.
-// Work is handed out through a single shared index so the pool load-balances
-// uneven items; callers write results into position i of a pre-sized slice,
-// which keeps output ordering deterministic regardless of scheduling.
-//
-// All n items are attempted even after a failure — items are independent in
-// every sweep here, and finishing the batch keeps caches warm for the next
-// call — but the error reported is always the lowest-index one, so the
-// serial and parallel paths surface the same failure.
-func ForEach(n, workers int, fn func(i int) error) error {
-	return ForEachContext(context.Background(), n, workers, fn)
-}
-
 // ForEachContext is ForEach with cooperative cancellation: once ctx is
 // done, no further items are dispatched (items already running finish) and
 // the sweep reports the cancellation. A cancelled sweep therefore stops

@@ -13,8 +13,8 @@ func TestSECDEDShape(t *testing.T) {
 	if e.WordBits() != 72 {
 		t.Errorf("SECDED word = %d bits, want 72", e.WordBits())
 	}
-	if math.Abs(e.Overhead()-0.125) > 1e-12 {
-		t.Errorf("SECDED overhead = %g, want 0.125 (the paper's ECC capacity overhead)", e.Overhead())
+	if overhead := float64(e.CheckBits) / float64(e.DataBits); math.Abs(overhead-0.125) > 1e-12 {
+		t.Errorf("SECDED overhead = %g, want 0.125 (the paper's ECC capacity overhead)", overhead)
 	}
 	if err := e.Validate(); err != nil {
 		t.Fatal(err)
@@ -41,7 +41,7 @@ func TestWordFailureProbLimits(t *testing.T) {
 func TestECCBeatsNoECC(t *testing.T) {
 	p := 1e-5
 	with := SECDED().WordFailureProb(p)
-	without := None().WordFailureProb(p)
+	without := ECC{DataBits: 64}.WordFailureProb(p)
 	if with >= without {
 		t.Errorf("SECDED (%.3e) should beat no ECC (%.3e)", with, without)
 	}
@@ -238,4 +238,23 @@ func TestMoreCorrectionHelpsProperty(t *testing.T) {
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
 	}
+}
+
+// RefreshIntervalFor returns the refresh interval that bounds the weak-cell
+// probability at target: WeakCellProb inverted by bisection (monotone,
+// well-conditioned).
+func (r RetentionModel) RefreshIntervalFor(target float64) float64 {
+	if target <= 0 || target >= 1 {
+		return r.MedianS
+	}
+	lo, hi := r.MedianS*1e-9, r.MedianS*1e3
+	for i := 0; i < 200; i++ {
+		mid := math.Sqrt(lo * hi)
+		if r.WeakCellProb(mid) > target {
+			hi = mid
+		} else {
+			lo = mid
+		}
+	}
+	return math.Sqrt(lo * hi)
 }

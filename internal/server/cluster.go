@@ -13,11 +13,6 @@ import (
 // the 1 MiB default on large leases.
 const clusterMaxBody = 16 << 20
 
-// Coordinator exposes the cluster coordinator (nil unless
-// Config.Coordinator is set) — tests and embedders reach lease state and
-// stats through it.
-func (s *Server) Coordinator() *cluster.Coordinator { return s.coord }
-
 // workerAuth gates the cluster surface on the shared worker token. An
 // empty configured token leaves the surface open (local development).
 func (s *Server) workerAuth(next http.Handler) http.Handler {

@@ -27,7 +27,7 @@ func postToken(t *testing.T, h http.Handler, path, token, body string) *httptest
 
 func TestClusterSurfaceNotMountedWithoutCoordinator(t *testing.T) {
 	s, _ := newTestServer(t, Config{})
-	if s.Coordinator() != nil {
+	if s.coord != nil {
 		t.Fatal("non-coordinator server exposed a coordinator")
 	}
 	rr := post(t, s.Handler(), "/v1/cluster/register", `{"version":"x"}`)
@@ -40,7 +40,7 @@ func TestClusterSurfaceAuthAndMetrics(t *testing.T) {
 	const token = "s3cret"
 	s, _ := newTestServer(t, Config{Coordinator: true, WorkerToken: token})
 	h := s.Handler()
-	if s.Coordinator() == nil {
+	if s.coord == nil {
 		t.Fatal("coordinator server did not build a coordinator")
 	}
 

@@ -249,7 +249,7 @@ func TestJobSurvivesServerRestart(t *testing.T) {
 		t.Fatalf("first boot job state = %s", st.State)
 	}
 	rec := fmt.Sprintf(`{"id":%q,"spec":{"kind":"sweep","points":[{"cell":"SRAM"},{"cell":"3T-eDRAM","temperature_k":77}],"benchmarks":["namd"]},"state":"running","done":2,"total":2}`, sub.ID)
-	if err := s1.Store().Put("job|"+sub.ID, []byte(rec)); err != nil {
+	if err := s1.st.Put("job|"+sub.ID, []byte(rec)); err != nil {
 		t.Fatal(err)
 	}
 	s1.jobs.Close()

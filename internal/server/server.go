@@ -145,10 +145,6 @@ type Config struct {
 	// dispatch by priority class and tenant fair share (0 = job package
 	// default).
 	JobConcurrency int
-	// Scheduler selects the job dispatch order: job.SchedFair (default)
-	// or job.SchedFIFO (single-queue arrival order, kept for differential
-	// testing).
-	Scheduler string
 	// Logger receives structured access log lines and server lifecycle
 	// messages (stderr by default).
 	Logger *log.Logger
@@ -406,7 +402,6 @@ func New(study *coldtall.Study, cfg Config) (*Server, error) {
 		Sigs:          s.sigs,
 		Distributor:   dist,
 		MaxConcurrent: cfg.JobConcurrency,
-		Scheduler:     cfg.Scheduler,
 		TenantWeight:  s.tenants.Weight,
 		OnIngest: func(res ingest.Result) {
 			s.met.workloadUploads.Inc()
@@ -477,30 +472,6 @@ func (s *Server) buildHandler() http.Handler {
 // embedding the service behind an existing mux).
 func (s *Server) Handler() http.Handler { return s.handler }
 
-// Metrics exposes the registry (tests assert on series; embedders may add
-// their own).
-func (s *Server) Metrics() *metrics.Registry { return s.met.reg }
-
-// Jobs exposes the async job manager (the CLI's jobs subcommands and the
-// tests drive it; embedders without HTTP can submit directly).
-func (s *Server) Jobs() *job.Manager { return s.jobs }
-
-// Store exposes the persistent result store (nil when StoreDir is unset).
-func (s *Server) Store() *store.Store { return s.st }
-
-// Workloads exposes the dynamic workload registry (static SPEC entries
-// plus everything ingested through /v1/workloads).
-func (s *Server) Workloads() *workload.Registry { return s.workloads }
-
-// Signatures exposes the locality-signature index (tests and embedders).
-func (s *Server) Signatures() *signature.Index { return s.sigs }
-
-// CacheStats reports response-cache effectiveness.
-func (s *Server) CacheStats() cache.Stats { return s.respCache.Stats() }
-
-// Tenants exposes the tenant registry (the CLI wires SIGHUP to Reload).
-func (s *Server) Tenants() *tenant.Registry { return s.tenants }
-
 // ReloadTenants re-reads the tenants file (SIGHUP hot reload). A failed
 // reload keeps the previous tenant set and returns the error.
 func (s *Server) ReloadTenants() error {
@@ -511,11 +482,6 @@ func (s *Server) ReloadTenants() error {
 	s.cfg.Logger.Printf("tenants: reloaded %d from %s", len(s.tenants.Names())-1, s.cfg.TenantsFile)
 	return nil
 }
-
-// Draining returns a channel that closes when graceful shutdown begins;
-// streaming handlers select on it to flush a final event and disconnect
-// before the listener drain waits on them.
-func (s *Server) Draining() <-chan struct{} { return s.drainCh }
 
 // startDrain flips the health signal and releases every live stream.
 func (s *Server) startDrain() {

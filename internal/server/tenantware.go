@@ -172,11 +172,6 @@ type errBudget struct{ wait time.Duration }
 
 func (e *errBudget) Error() string { return "server: tenant compute budget exhausted" }
 
-// errRate marks a request refused by the tenant's rate limit.
-type errRate struct{ wait time.Duration }
-
-func (e *errRate) Error() string { return "server: tenant rate limit exceeded" }
-
 // artifactCost estimates an artifact build in design-point evaluations:
 // the points its renderer enumerates (already-cached characterizations
 // make the real work cheaper, never dearer).

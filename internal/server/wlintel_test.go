@@ -139,7 +139,7 @@ func TestWorkloadDedupOverHTTP(t *testing.T) {
 	if rr := get(t, h, "/v1/workloads/orig"); rr.Code != http.StatusNotFound {
 		t.Errorf("deleted workload still served: %d", rr.Code)
 	}
-	if _, ok := s.Signatures().Get("orig"); ok {
+	if _, ok := s.sigs.Get("orig"); ok {
 		t.Error("signature index entry survived deletion")
 	}
 	// Static names and unknowns map to 400 and 404.
@@ -292,7 +292,7 @@ func TestWorkloadDistillOverHTTP(t *testing.T) {
 	if err := json.Unmarshal(get(t, h, "/v1/workloads/todistill").Body.Bytes(), &src); err != nil {
 		t.Fatal(err)
 	}
-	if _, ok := s.Store().Get(ingest.TraceKeyPrefix + src.TraceSHA256); !ok {
+	if _, ok := s.st.Get(ingest.TraceKeyPrefix + src.TraceSHA256); !ok {
 		t.Fatal("setup: trace bytes not persisted")
 	}
 
@@ -320,10 +320,10 @@ func TestWorkloadDistillOverHTTP(t *testing.T) {
 	if !res.TraceDeleted || res.StorageRatio < 50 {
 		t.Fatalf("storage accounting %+v", res)
 	}
-	if _, ok := s.Store().Get(ingest.TraceKeyPrefix + src.TraceSHA256); ok {
+	if _, ok := s.st.Get(ingest.TraceKeyPrefix + src.TraceSHA256); ok {
 		t.Fatal("trace bytes survived an accepted distillation")
 	}
-	if _, ok := s.Store().Get(distill.KeyPrefix + "todistill"); !ok {
+	if _, ok := s.st.Get(distill.KeyPrefix + "todistill"); !ok {
 		t.Fatal("distillation record not persisted")
 	}
 	// The workload still resolves and renders after its trace is gone.

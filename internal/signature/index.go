@@ -41,25 +41,6 @@ func (x *Index) Remove(name string) {
 	x.mu.Unlock()
 }
 
-// Len reports how many signatures are indexed.
-func (x *Index) Len() int {
-	x.mu.RLock()
-	defer x.mu.RUnlock()
-	return len(x.byName)
-}
-
-// Names lists the indexed names sorted.
-func (x *Index) Names() []string {
-	x.mu.RLock()
-	out := make([]string, 0, len(x.byName))
-	for n := range x.byName {
-		out = append(out, n)
-	}
-	x.mu.RUnlock()
-	sort.Strings(out)
-	return out
-}
-
 // Match is one ranked comparison result.
 type Match struct {
 	// Name is the compared workload.

@@ -185,18 +185,3 @@ func (c *Cache) Contains(addr uint64) bool {
 	}
 	return false
 }
-
-// Flush invalidates every line, returning the number of dirty lines that
-// would have been written back.
-func (c *Cache) Flush() uint64 {
-	var dirty uint64
-	for s := range c.sets {
-		for i := range c.sets[s] {
-			if c.sets[s][i].valid && c.sets[s][i].dirty {
-				dirty++
-			}
-			c.sets[s][i] = line{}
-		}
-	}
-	return dirty
-}

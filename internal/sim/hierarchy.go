@@ -109,9 +109,6 @@ func (h *Hierarchy) Access(a trace.Access) {
 	}
 }
 
-// Prefetches returns the number of prefetch fills issued.
-func (h *Hierarchy) Prefetches() uint64 { return h.prefetches }
-
 // accessLevel performs a demand access at level i, recursing outward on a
 // miss (fetch) and propagating dirty evictions (writeback) as write traffic
 // to the level below.
@@ -153,14 +150,6 @@ func (h *Hierarchy) LLCStats() Stats {
 	return h.levels[len(h.levels)-1].Stats()
 }
 
-// MemoryTraffic returns reads and writes that left the hierarchy.
-func (h *Hierarchy) MemoryTraffic() (reads, writes uint64) {
-	return h.memReads, h.memWrites
-}
-
-// Levels returns the number of cache levels.
-func (h *Hierarchy) Levels() int { return len(h.levels) }
-
 // Snapshot captures every counter as a mergeable HierarchyStats. Accesses
 // is the demand-access count, which equals the L1's total lookups (only
 // demand traffic reaches level 0).
@@ -179,6 +168,3 @@ func (h *Hierarchy) Snapshot() HierarchyStats {
 	s.Accesses = s.Levels[0].Accesses()
 	return s
 }
-
-// LevelName returns the configured name of level i.
-func (h *Hierarchy) LevelName(i int) string { return h.levels[i].Config().Name }

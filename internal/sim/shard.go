@@ -191,9 +191,6 @@ func NewSharded(cfg HierarchyConfig, shards, workers int) (*Sharded, error) {
 	return s, nil
 }
 
-// Shards returns the shard count.
-func (s *Sharded) Shards() int { return len(s.shards) }
-
 // SetObserver attaches a per-access observer invoked from Replay's serial
 // partition phase — which sees the stream in global order at any shard
 // count, so observer-derived summaries (the locality signatures of

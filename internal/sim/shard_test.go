@@ -190,8 +190,8 @@ func TestShardedAutoSelect(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if wantShards := AutoShards(cfg, workers); s.Shards() != wantShards {
-			t.Fatalf("workers=%d: auto-selected %d shards, want %d", workers, s.Shards(), wantShards)
+		if wantShards := AutoShards(cfg, workers); len(s.shards) != wantShards {
+			t.Fatalf("workers=%d: auto-selected %d shards, want %d", workers, len(s.shards), wantShards)
 		}
 		if err := s.Replay(context.Background(), accesses); err != nil {
 			t.Fatal(err)

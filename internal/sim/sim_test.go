@@ -162,7 +162,7 @@ func TestHierarchyInclusionOfTraffic(t *testing.T) {
 	if llc.Reads != l2.ReadMisses+l2.WriteMisses {
 		t.Errorf("LLC reads %d should equal L2 misses %d", llc.Reads, l2.Misses())
 	}
-	memR, _ := h.MemoryTraffic()
+	memR := h.memReads
 	if memR != llc.Misses() {
 		t.Errorf("memory reads %d should equal LLC misses %d", memR, llc.Misses())
 	}
@@ -235,7 +235,7 @@ func TestWritebackTrafficReachesLLC(t *testing.T) {
 	if w := h.LLCStats().Writes; w == 0 {
 		t.Error("LLC should receive writeback traffic")
 	}
-	if _, memW := h.MemoryTraffic(); memW == 0 {
+	if memW := h.memWrites; memW == 0 {
 		t.Error("memory should receive LLC writebacks")
 	}
 }
@@ -254,11 +254,11 @@ func TestHierarchyDeterminism(t *testing.T) {
 
 func TestLevelNames(t *testing.T) {
 	h, _ := NewHierarchy(TableIConfig())
-	if h.Levels() != 3 {
-		t.Fatalf("levels = %d, want 3", h.Levels())
+	if len(h.levels) != 3 {
+		t.Fatalf("levels = %d, want 3", len(h.levels))
 	}
 	for i, want := range []string{"L1D", "L2", "LLC"} {
-		if got := h.LevelName(i); got != want {
+		if got := h.levels[i].Config().Name; got != want {
 			t.Errorf("level %d = %q, want %q", i, got, want)
 		}
 	}
@@ -312,7 +312,7 @@ func TestNextLinePrefetchHelpsStreams(t *testing.T) {
 		// dominating the picture.
 		g, _ := trace.NewStream(trace.Region{Base: 0, Size: 1 << 20}, 1, 0, 3)
 		h.Run(g, 200000)
-		return h.LevelStats(1), h.LLCStats().Reads, h.Prefetches()
+		return h.LevelStats(1), h.LLCStats().Reads, h.prefetches
 	}
 	off, llcOff, pfOff := run(false)
 	on, llcOn, pfOn := run(true)
@@ -331,4 +331,19 @@ func TestNextLinePrefetchHelpsStreams(t *testing.T) {
 	if ratio < 0.8 || ratio > 1.3 {
 		t.Errorf("LLC read ratio with prefetch = %.2f, want ~1", ratio)
 	}
+}
+
+// Flush invalidates every line, returning the number of dirty lines that
+// would have been written back.
+func (c *Cache) Flush() uint64 {
+	var dirty uint64
+	for s := range c.sets {
+		for i := range c.sets[s] {
+			if c.sets[s][i].valid && c.sets[s][i].dirty {
+				dirty++
+			}
+			c.sets[s][i] = line{}
+		}
+	}
+	return dirty
 }

@@ -191,13 +191,3 @@ func (c Config) VerticalDelay(rDrive float64) float64 {
 func (c Config) VerticalEnergy(vdd float64) float64 {
 	return c.AverageCrossings() * c.ViaCapacitance() * vdd * vdd
 }
-
-// Configurations returns the standard die-count sweep of the paper
-// (1, 2, 4, 8 dies, TSV style), capped by the style limit.
-func Configurations(style Style) []Config {
-	var out []Config
-	for d := 1; d <= style.MaxDies(); d *= 2 {
-		out = append(out, Config{Dies: d, Style: style})
-	}
-	return out
-}

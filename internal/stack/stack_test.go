@@ -141,3 +141,13 @@ func TestVerticalPropertiesNonNegativeProperty(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// Configurations returns the standard die-count sweep of the paper
+// (1, 2, 4, 8 dies), capped by the style limit.
+func Configurations(style Style) []Config {
+	var out []Config
+	for d := 1; d <= style.MaxDies(); d *= 2 {
+		out = append(out, Config{Dies: d, Style: style})
+	}
+	return out
+}

@@ -105,9 +105,6 @@ func Open(dir string, opts Options) (*Store, error) {
 // Dir returns the store's root directory.
 func (s *Store) Dir() string { return s.dir }
 
-// Version returns the model-version stamp entries are written with.
-func (s *Store) Version() string { return s.version }
-
 // fileFor maps a key to its entry path: entries are addressed by the
 // SHA-256 of the key (truncated to 160 bits — far beyond collision reach
 // for this keyspace), so arbitrary key strings never meet the filesystem.

@@ -120,3 +120,12 @@ func TestNodePresetsOrdering(t *testing.T) {
 		t.Error("supply should scale down with the node")
 	}
 }
+
+// MustAt is At for known-good test configuration; it panics on error.
+func (n Node) MustAt(t float64) DeviceCorner {
+	c, err := n.At(t)
+	if err != nil {
+		panic(err)
+	}
+	return c
+}

@@ -157,3 +157,16 @@ func TestWireResistivityPropertyPositive(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// OffCurrent returns the per-micron leakage current at the corner's
+// temperature, for a device whose 300 K threshold is shifted by dvth volts
+// from nominal (used for low-leakage cell transistors such as the PMOS-only
+// 3T-eDRAM gain cell).
+func (c DeviceCorner) OffCurrent(dvth float64) float64 {
+	base := c.Node.OffCurrentPerMicron
+	scale := SubthresholdLeakageScale(c.Node.Vth300+dvth, c.Temperature, TempRoom)
+	// Convert the shifted threshold's 300 K baseline relative to nominal.
+	shift := rawSubthreshold(c.Node.Vth300+dvth, TempRoom) /
+		rawSubthreshold(c.Node.Vth300, TempRoom)
+	return base * shift * scale
+}

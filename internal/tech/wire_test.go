@@ -1,6 +1,7 @@
 package tech
 
 import (
+	"math"
 	"testing"
 	"testing/quick"
 )
@@ -11,7 +12,7 @@ func TestNewWireKnownLayers(t *testing.T) {
 		if err != nil {
 			t.Fatalf("NewWire(%v): %v", l, err)
 		}
-		if w.ResistancePerMeter() <= 0 || w.CapacitancePerMeter() <= 0 {
+		if w.ResistancePerMeter() <= 0 || w.capPerMeter <= 0 {
 			t.Errorf("layer %v has non-positive RC", l)
 		}
 	}
@@ -145,10 +146,46 @@ func TestNewWireScaled(t *testing.T) {
 	if r := half.ResistancePerMeter() / ref.ResistancePerMeter(); r < 3.99 || r > 4.01 {
 		t.Errorf("half-scale resistance ratio %.3f, want 4", r)
 	}
-	if half.CapacitancePerMeter() != ref.CapacitancePerMeter() {
+	if half.capPerMeter != ref.capPerMeter {
 		t.Error("capacitance per metre is scale-invariant")
 	}
 	if _, err := NewWireScaled(WireGlobal, 300, 0); err == nil {
 		t.Error("zero scale should fail")
 	}
+}
+
+// SwitchEnergy returns the CV^2 energy of one full-swing transition on an
+// unrepeated wire of the given length at supply vdd.
+func (w Wire) SwitchEnergy(length, vdd float64) float64 {
+	return w.Capacitance(length) * vdd * vdd
+}
+
+// RepeatedEnergy returns the switching energy of driving the repeated wire
+// once: the wire capacitance plus a repeater-capacitance overhead (about 40%
+// of wire cap at the optimal sizing) charged to Vdd.
+func (w Wire) RepeatedEnergy(length float64, corner DeviceCorner) float64 {
+	c := w.Capacitance(length) * 1.4
+	return c * corner.Vdd * corner.Vdd
+}
+
+// RepeatedDelay returns the delay of the wire when broken into optimally
+// sized and spaced repeaters built from the supplied device corner. The
+// classic result is delay/length = 2 sqrt(0.38 Rw/m * Cw/m * tau_buf) with
+// tau_buf the intrinsic buffer time constant; we approximate tau_buf with
+// the corner's FO4 delay divided by 5 (one inverter stage).
+func (w Wire) RepeatedDelay(length float64, corner DeviceCorner) float64 {
+	tauBuf := corner.FO4Delay / 5
+	perMeter := 2 * math.Sqrt(0.38*w.resPerMeter*w.capPerMeter*tauBuf)
+	return perMeter * length
+}
+
+// ElmoreDelay returns the distributed-RC (Elmore) delay of an unrepeated
+// wire of the given length driven by a source with resistance rDrive into a
+// load capacitance cLoad:
+//
+//	d = 0.69 (rDrive (Cw + cLoad)) + 0.38 Rw Cw + 0.69 Rw cLoad
+func (w Wire) ElmoreDelay(length, rDrive, cLoad float64) float64 {
+	rw := w.Resistance(length)
+	cw := w.Capacitance(length)
+	return 0.69*rDrive*(cw+cLoad) + 0.38*rw*cw + 0.69*rw*cLoad
 }

@@ -120,10 +120,6 @@ func (t *Tenant) BudgetRemaining() (remaining, limit int64, limited bool) {
 	return int64(tokens), int64(capacity), true
 }
 
-// Spent reports the cumulative evaluations charged to this tenant,
-// surviving config reloads.
-func (t *Tenant) Spent() int64 { return t.spent.Load() }
-
 // config is the on-disk shape of the -tenants file.
 type config struct {
 	// Default is the tier applied to the anonymous tenant and used to

@@ -86,13 +86,13 @@ func TestBudgetChargeRefundAndHeaders(t *testing.T) {
 	if wait <= 0 {
 		t.Fatal("refusal must report a refill wait")
 	}
-	if bob.Spent() != 2 {
-		t.Fatalf("Spent = %d, want 2 (failed charge not counted)", bob.Spent())
+	if bob.spent.Load() != 2 {
+		t.Fatalf("Spent = %d, want 2 (failed charge not counted)", bob.spent.Load())
 	}
 
 	bob.RefundEvals(2)
-	if bob.Spent() != 0 {
-		t.Fatalf("Spent after refund = %d, want 0", bob.Spent())
+	if bob.spent.Load() != 0 {
+		t.Fatalf("Spent after refund = %d, want 0", bob.spent.Load())
 	}
 	if ok, _ := bob.ChargeEvals(3); !ok {
 		t.Fatal("refund did not restore the budget")
@@ -134,8 +134,8 @@ func TestReloadPreservesSpent(t *testing.T) {
 	if !ok {
 		t.Fatal("alice missing after reload")
 	}
-	if alice2.Spent() != 7 {
-		t.Fatalf("Spent after reload = %d, want 7 carried over", alice2.Spent())
+	if alice2.spent.Load() != 7 {
+		t.Fatalf("Spent after reload = %d, want 7 carried over", alice2.spent.Load())
 	}
 	if _, _, limited := alice2.BudgetRemaining(); !limited {
 		t.Fatal("alice budget lost in reload")

@@ -1,6 +1,7 @@
 package thermal
 
 import (
+	"fmt"
 	"math"
 	"testing"
 )
@@ -111,4 +112,25 @@ func TestSolveOperatingPointLNBath(t *testing.T) {
 	if tj < 77 || tj > 77+20 {
 		t.Errorf("bath operating point %.1f K, want within the 20 K variation", tj)
 	}
+}
+
+// Variation returns the junction rise above coolant at full capacity — the
+// paper quotes ~20 K for the LN bath.
+func (m Model) Variation() float64 {
+	return m.ResistanceKPerW * m.CapacityW
+}
+
+// JunctionTemp returns the steady-state junction temperature at the given
+// heat load, or an error when the load exceeds the environment's capacity.
+func (m Model) JunctionTemp(powerW float64) (float64, error) {
+	if err := m.Validate(); err != nil {
+		return 0, err
+	}
+	if powerW < 0 {
+		return 0, fmt.Errorf("thermal: negative power %g", powerW)
+	}
+	if powerW > m.CapacityW {
+		return 0, fmt.Errorf("thermal: %s: load %.1f W exceeds capacity %.1f W", m.Name, powerW, m.CapacityW)
+	}
+	return m.CoolantK + m.ResistanceKPerW*powerW, nil
 }

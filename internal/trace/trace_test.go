@@ -1,6 +1,7 @@
 package trace
 
 import (
+	"fmt"
 	"math"
 	"testing"
 	"testing/quick"
@@ -250,11 +251,11 @@ func TestChainVisitsEveryBlockOncePerPeriod(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if c.Period() != 64 {
-		t.Fatalf("period = %d, want 64", c.Period())
+	if (c.mask + 1) != 64 {
+		t.Fatalf("period = %d, want 64", (c.mask + 1))
 	}
 	seen := map[uint64]bool{}
-	for i := uint64(0); i < c.Period(); i++ {
+	for i := uint64(0); i < (c.mask + 1); i++ {
 		a := c.Next()
 		if seen[a.Addr] {
 			t.Fatalf("address %#x repeated within one period", a.Addr)
@@ -272,8 +273,8 @@ func TestChainRoundsToPowerOfTwo(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if c.Period() != 64 {
-		t.Errorf("period = %d, want 64", c.Period())
+	if (c.mask + 1) != 64 {
+		t.Errorf("period = %d, want 64", (c.mask + 1))
 	}
 	for i := 0; i < 1000; i++ {
 		if a := c.Next(); a.Addr >= r.Base+64*BlockBytes {
@@ -315,3 +316,37 @@ func TestChainRejectsBadInput(t *testing.T) {
 		t.Error("negative write fraction should fail")
 	}
 }
+
+// Phased cycles through child generators in fixed-length phases, modeling
+// program phase behaviour (compute phase, then a scan, then pointer work):
+// the cache sees bursts rather than a stationary mixture.
+type Phased struct {
+	gens   []Generator
+	length int
+	pos    int
+	cur    int
+}
+
+// NewPhased rotates through gens, switching every phaseLength accesses.
+func NewPhased(gens []Generator, phaseLength int) (*Phased, error) {
+	if len(gens) == 0 {
+		return nil, fmt.Errorf("trace: phased needs at least one generator")
+	}
+	if phaseLength <= 0 {
+		return nil, fmt.Errorf("trace: phase length must be positive")
+	}
+	return &Phased{gens: gens, length: phaseLength}, nil
+}
+
+// Next implements Generator.
+func (p *Phased) Next() Access {
+	if p.pos == p.length {
+		p.pos = 0
+		p.cur = (p.cur + 1) % len(p.gens)
+	}
+	p.pos++
+	return p.gens[p.cur].Next()
+}
+
+// Phase returns the index of the currently active child generator.
+func (p *Phased) Phase() int { return p.cur }

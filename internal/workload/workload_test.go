@@ -80,13 +80,14 @@ func TestTrafficLandscapeShape(t *testing.T) {
 	if byName["mcf"].ReadsPerSec < HighBandMin {
 		t.Error("mcf must sit in the high band")
 	}
+	ratio := func(tr Traffic) float64 { return tr.WritesPerSec / tr.ReadsPerSec }
 	for name, tr := range byName {
 		if name == "mcf" {
 			continue
 		}
-		if tr.WriteReadRatio() <= byName["mcf"].WriteReadRatio() {
+		if ratio(tr) <= ratio(byName["mcf"]) {
 			t.Errorf("%s write:read ratio %.3f should exceed mcf's %.3f",
-				name, tr.WriteReadRatio(), byName["mcf"].WriteReadRatio())
+				name, ratio(tr), ratio(byName["mcf"]))
 		}
 	}
 	// The range spans the paper's 1e4..2e8 landscape.

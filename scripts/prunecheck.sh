@@ -1,10 +1,11 @@
 #!/bin/sh
 # Differential proof that the pruned organization search is
 # exhaustive-equivalent: replays the full cell x temperature x layer golden
-# grid through both the exhaustive reference (optimizeExhaustive) and the
-# production pruned path, asserting bit-identical Result selection, plus
-# the admissibility property test behind the bound and the staircase/
-# quadratic Pareto filter equivalence — all under the race detector, since
+# grid through both the exhaustive reference (optimizeExhaustive, a test
+# oracle in internal/array's test files) and the production pruned path,
+# asserting bit-identical Result selection, plus the admissibility property
+# test behind the bound and the staircase/quadratic Pareto filter
+# equivalence — all under the race detector, since
 # the family ranking memo and the characterization pool run concurrently
 # in production sweeps. Non-short mode, so the grid is not sampled.
 #
@@ -15,7 +16,7 @@
 set -eu
 
 go test -race -count=1 -v \
-  -run 'TestPrunedMatchesExhaustive|TestLowerBoundAdmissible|TestParetoFilterEquivalence|TestParetoDifferential|TestForceExhaustiveEnv' \
+  -run 'TestPrunedMatchesExhaustive|TestLowerBoundAdmissible|TestParetoFilterEquivalence|TestParetoDifferential' \
   ./internal/array/
 
 go test -race -count=1 -v \

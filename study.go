@@ -24,6 +24,11 @@ type Study struct {
 	// workloads feed every traffic-dependent figure).
 	workloads *workload.Registry
 
+	// only, when set, restricts the traffic artifacts (fig5, fig7,
+	// coldtall) to this one workload. Only WorkloadArtifactTable sets it,
+	// on a private copy.
+	only string
+
 	// parallelism bounds every worker pool the study's sweeps use:
 	// 0 means one worker per available CPU, 1 forces the serial path.
 	parallelism int

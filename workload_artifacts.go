@@ -11,9 +11,7 @@ import (
 	"fmt"
 	"io"
 
-	"coldtall/internal/explorer"
 	"coldtall/internal/report"
-	"coldtall/internal/workload"
 )
 
 // TrafficArtifactNames lists the artifacts that can be rendered for a
@@ -35,46 +33,21 @@ func IsTrafficArtifact(name string) bool {
 
 // WorkloadArtifactTable builds one traffic-dependent artifact restricted
 // to a single workload, resolved through the study's registry (so both
-// static SPEC names and ingested workloads work). The schema is the
-// registry descriptor's; only the row set differs — for a static
-// benchmark the rows are byte-identical to that benchmark's rows in the
-// full artifact.
+// static SPEC names and ingested workloads work). It runs the registry
+// descriptor's own Build on a study copy whose benchmark set is just that
+// workload, so the schema and row builder are the descriptor's — for a
+// static benchmark the rows are byte-identical to that benchmark's rows in
+// the full artifact. Only the title gains the workload name.
 func (s *Study) WorkloadArtifactTable(artifactName, workloadName string) (*report.Table, error) {
 	d, ok := Artifacts().Lookup(artifactName)
 	if !ok || !IsTrafficArtifact(d.Name) {
 		return nil, fmt.Errorf("coldtall: %q is not a per-workload artifact (want one of %v)", artifactName, TrafficArtifactNames())
 	}
-	tr, err := s.trafficFor(workloadName)
-	if err != nil {
-		return nil, err
-	}
+	only := *s
+	only.only = workloadName
 	t := report.NewSchemaTable(fmt.Sprintf("%s [workload: %s]", d.Title, workloadName), d.Columns)
-	switch d.Name {
-	case "fig5", "fig7":
-		points := fig5Points()
-		if d.Name == "fig7" {
-			if points, err = explorer.ENVMSweep(); err != nil {
-				return nil, err
-			}
-		}
-		rows, err := s.trafficStudyFor(points, []workload.Traffic{tr})
-		if err != nil {
-			return nil, err
-		}
-		if err := buildTraffic(t, rows); err != nil {
-			return nil, err
-		}
-	case "coldtall":
-		rows, err := s.ColdAndTall(workloadName)
-		if err != nil {
-			return nil, err
-		}
-		for _, r := range rows {
-			if err := t.Append(r.Benchmark, r.Label, r.Cell, r.Dies,
-				r.TemperatureK, r.RelTotalPower, r.RelLatency, r.RelArea); err != nil {
-				return nil, err
-			}
-		}
+	if err := d.Build(s.context(), &only, t); err != nil {
+		return nil, err
 	}
 	return t, nil
 }

@@ -2,52 +2,76 @@ package coldtall
 
 import (
 	"bytes"
+	"encoding/csv"
+	"slices"
 	"strings"
 	"testing"
 
-	"coldtall/internal/report"
 	"coldtall/internal/workload"
 )
 
 // TestWorkloadArtifactMatchesFullArtifact pins the restriction property:
-// rendering fig5 for one static benchmark must produce exactly that
-// benchmark's rows from the full artifact, same schema, same formatting.
+// rendering a traffic artifact for one static benchmark must produce
+// exactly that benchmark's CSV lines from the full artifact, same header,
+// same formatting, same row order.
 func TestWorkloadArtifactMatchesFullArtifact(t *testing.T) {
 	s := NewStudy()
-	const bench = "leela"
-
-	restricted, err := s.WorkloadArtifactTable("fig5", bench)
-	if err != nil {
-		t.Fatal(err)
-	}
-	full, err := s.Fig5()
-	if err != nil {
-		t.Fatal(err)
-	}
-	d, _ := Artifacts().Lookup("fig5")
-	want := report.NewSchemaTable(restricted.Title, d.Columns)
-	var filtered []TrafficRow
-	for _, r := range full {
-		if r.Benchmark == bench {
-			filtered = append(filtered, r)
-		}
-	}
-	if len(filtered) == 0 {
-		t.Fatal("full fig5 has no leela rows")
-	}
-	if err := buildTraffic(want, filtered); err != nil {
-		t.Fatal(err)
-	}
-
-	var got, exp bytes.Buffer
-	if err := restricted.RenderCSV(&got); err != nil {
-		t.Fatal(err)
-	}
-	if err := want.RenderCSV(&exp); err != nil {
-		t.Fatal(err)
-	}
-	if got.String() != exp.String() {
-		t.Fatalf("restricted fig5 differs from filtered full fig5:\n--- got\n%s--- want\n%s", got.String(), exp.String())
+	for _, tc := range []struct{ artifact, bench string }{
+		{"fig5", "leela"},
+		{"fig7", "leela"},
+		{"coldtall", BandRepresentatives()[1]},
+	} {
+		t.Run(tc.artifact, func(t *testing.T) {
+			restricted, err := s.WorkloadArtifactTable(tc.artifact, tc.bench)
+			if err != nil {
+				t.Fatal(err)
+			}
+			full, err := s.ArtifactTable(tc.artifact)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var got, all bytes.Buffer
+			if err := restricted.RenderCSV(&got); err != nil {
+				t.Fatal(err)
+			}
+			if err := full.RenderCSV(&all); err != nil {
+				t.Fatal(err)
+			}
+			lines := strings.SplitAfter(all.String(), "\n")
+			header, err := csv.NewReader(strings.NewReader(lines[0])).Read()
+			if err != nil {
+				t.Fatal(err)
+			}
+			col := slices.Index(header, "benchmark")
+			if col < 0 {
+				t.Fatalf("%s has no benchmark column: %v", tc.artifact, header)
+			}
+			want := lines[0]
+			n := 0
+			for _, line := range lines[1:] {
+				if line == "" {
+					continue
+				}
+				rec, err := csv.NewReader(strings.NewReader(line)).Read()
+				if err != nil {
+					t.Fatal(err)
+				}
+				if rec[col] == tc.bench {
+					want += line
+					n++
+				}
+			}
+			if n == 0 {
+				t.Fatalf("full %s has no %s rows", tc.artifact, tc.bench)
+			}
+			if got.String() != want {
+				t.Fatalf("restricted %s differs from filtered full %s:\n--- got\n%s--- want\n%s", tc.artifact, tc.artifact, got.String(), want)
+			}
+			d, _ := Artifacts().Lookup(tc.artifact)
+			if wantTitle := d.Title + " [workload: " + tc.bench + "]"; restricted.Title != wantTitle {
+				t.Errorf("title = %q, want %q", restricted.Title, wantTitle)
+			}
+		})
 	}
 }
 
