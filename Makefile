@@ -67,8 +67,10 @@ tenantcheck:
 # Trace-toolchain drift check through the built binaries: tracegen's text
 # and binary outputs must simulate identically, llcsim -dump must emit the
 # canonical .ctrace encoding, and sharded replay must match serial byte
-# for byte.
+# for byte. The replay kernel's own tests (including the differential
+# against the timestamp-LRU reference) run first under the race detector.
 tracecheck:
+	$(GO) test -race ./internal/sim/...
 	./scripts/tracecheck.sh
 
 # Differential proof of the pruned organization search: the full golden
@@ -125,13 +127,15 @@ goldencheck:
 
 # Fuzz smoke: a bounded run of each trace-facing fuzz target (the codec
 # round-trip, the text parser, and the llcsim replay loop) plus the
-# pruned-vs-exhaustive search differ. The corpora seeds cover the
+# pruned-vs-exhaustive search differ and the packed-vs-reference cache
+# kernel differ. The corpora seeds cover the
 # parser-hardening cases; CI runs this on every push.
 fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzBinaryDecode -fuzztime 30s ./internal/trace/
 	$(GO) test -run '^$$' -fuzz FuzzTextRoundTrip -fuzztime 30s ./internal/trace/
 	$(GO) test -run '^$$' -fuzz FuzzReplay -fuzztime 30s ./cmd/llcsim/
 	$(GO) test -run '^$$' -fuzz FuzzOptimizeConfig -fuzztime 30s ./internal/array/
+	$(GO) test -run '^$$' -fuzz FuzzCacheMatchesReference -fuzztime 30s ./internal/sim/
 
 # Known-vulnerability scan. Skipped (with a pointer) when govulncheck is
 # not on PATH; the CI job installs it.

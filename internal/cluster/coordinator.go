@@ -7,7 +7,6 @@ import (
 	"fmt"
 	"log"
 	"sort"
-	"strings"
 	"sync"
 	"time"
 
@@ -273,10 +272,7 @@ func (c *Coordinator) Recover() (int, error) {
 		return 0, nil
 	}
 	adoptable := 0
-	err := c.opts.Store.Walk(func(key string, val []byte) error {
-		if !strings.HasPrefix(key, runPrefix) {
-			return nil
-		}
+	err := c.opts.Store.Walk(runPrefix, func(key string, val []byte) error {
 		var rec runRecord
 		if err := json.Unmarshal(val, &rec); err != nil {
 			c.logf("recover: dropping malformed record %s: %v", key, err)

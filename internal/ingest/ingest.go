@@ -25,7 +25,6 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"strings"
 	"time"
 
 	"coldtall/internal/signature"
@@ -267,9 +266,12 @@ type Result struct {
 // .ctrace encoding without materializing a []trace.Access for the whole
 // stream: the peak transient is the encoded bytes (roughly 1.5 B per
 // access) instead of the 16 B/access slice the old path built. The
-// returned count is the exact access count of the stream.
+// returned count is the exact access count of the stream. The output
+// buffer starts at the upload's size: a binary upload re-encodes to about
+// the same bytes, so the buffer is allocated once instead of doubling.
 func canonicalize(s Spec) (canonical []byte, count int, err error) {
 	var buf bytes.Buffer
+	buf.Grow(len(s.Trace))
 	bw := trace.NewBinaryWriter(&buf)
 	if s.Generator != nil {
 		g, err := s.Generator.build()
@@ -617,10 +619,7 @@ func RecoverSources(st *store.Store, reg *workload.Registry) (recovered, skipped
 		return 0, 0, nil
 	}
 	var aliases []workload.Source
-	err = st.Walk(func(key string, val []byte) error {
-		if !strings.HasPrefix(key, WorkloadKeyPrefix) {
-			return nil
-		}
+	err = st.Walk(WorkloadKeyPrefix, func(key string, val []byte) error {
 		var src workload.Source
 		if json.Unmarshal(val, &src) != nil {
 			skipped++

@@ -55,10 +55,8 @@ func TestUploadsAppendAssemble(t *testing.T) {
 	}
 	// Discard dropped the chunk bytes too.
 	chunks := 0
-	st.Walk(func(key string, val []byte) error {
-		if len(key) > len(ChunkKeyPrefix) && key[:len(ChunkKeyPrefix)] == ChunkKeyPrefix {
-			chunks++
-		}
+	st.Walk(ChunkKeyPrefix, func(key string, val []byte) error {
+		chunks++
 		return nil
 	})
 	if chunks != 0 {
@@ -182,10 +180,8 @@ func TestUploadsDiscardKeepsSharedChunks(t *testing.T) {
 // Pending lists the names of in-flight uploads, sorted.
 func (u *Uploads) Pending() ([]string, error) {
 	var names []string
-	err := u.st.Walk(func(key string, val []byte) error {
-		if strings.HasPrefix(key, UploadKeyPrefix) {
-			names = append(names, strings.TrimPrefix(key, UploadKeyPrefix))
-		}
+	err := u.st.Walk(UploadKeyPrefix, func(key string, val []byte) error {
+		names = append(names, strings.TrimPrefix(key, UploadKeyPrefix))
 		return nil
 	})
 	sort.Strings(names)

@@ -479,11 +479,8 @@ func (m *Manager) Recover() (int, error) {
 		return 0, nil
 	}
 	var resumed []*Job
-	err := m.opts.Store.Walk(func(key string, val []byte) error {
-		id, ok := strings.CutPrefix(key, recordPrefix)
-		if !ok {
-			return nil
-		}
+	err := m.opts.Store.Walk(recordPrefix, func(key string, val []byte) error {
+		id := strings.TrimPrefix(key, recordPrefix)
 		var rec record
 		if err := json.Unmarshal(val, &rec); err != nil || rec.ID != id || !rec.State.valid() {
 			return nil // unreadable record: skip, never poison the table
@@ -627,14 +624,19 @@ func (j *Job) notify() {
 	}
 }
 
-// transition moves the job to a new state, persists the record, and feeds
-// the observation hook.
+// transition moves the job to a new state, persists the record when the
+// state is terminal (see persist), notifies subscribers, and feeds the
+// observation hook.
 func (m *Manager) transition(j *Job, to State) {
 	j.mu.Lock()
 	from := j.state
 	j.state = to
 	j.mu.Unlock()
-	m.persist(j)
+	if to.Terminal() {
+		m.persist(j)
+	} else {
+		j.notify()
+	}
 	if m.opts.OnTransition != nil && from != to {
 		m.opts.OnTransition(j.id, from, to)
 	}
@@ -644,9 +646,13 @@ func (m *Manager) transition(j *Job, to State) {
 }
 
 // persist writes the job record through the store (best-effort: job
-// bookkeeping must never fail a computation). Every persist call site is
-// a status mutation, so this is also the broadcast point for progress
-// subscribers — stores and streams always observe the same snapshots.
+// bookkeeping must never fail a computation) and notifies subscribers.
+// The record is written only when Recover would read something different:
+// at enqueue (submit and resume) and at the terminal transition. Recover
+// reads a non-terminal record's ID, Spec, Tenant and CType and requeues
+// it whatever its progress or state, so queued→running and progress ticks
+// change nothing it reads; they only notify, and SSE and long-poll
+// subscribers still see every snapshot.
 func (m *Manager) persist(j *Job) {
 	j.notify()
 	if m.opts.Store == nil {
@@ -751,8 +757,8 @@ func (m *Manager) runArtifact(ctx context.Context, j *Job) error {
 
 // runIngest executes one workload ingestion. Progress is reported in
 // accesses replayed (one unit per access, advancing in trace-block-sized
-// steps), persisted per chunk so a restarted process sees how far the dead
-// one got; the re-run itself is safe because ingest.Run is idempotent.
+// steps) to subscribers per chunk; a restarted process re-runs the job
+// from its spec, which is safe because ingest.Run is idempotent.
 // The job's result payload is the ingest result JSON.
 func (m *Manager) runIngest(ctx context.Context, j *Job) error {
 	res, err := ingest.Run(ctx, *j.spec.Ingest, ingest.Options{
@@ -765,7 +771,7 @@ func (m *Manager) runIngest(ctx context.Context, j *Job) error {
 			j.mu.Lock()
 			j.done, j.total = int(done), int(total)
 			j.mu.Unlock()
-			m.persist(j)
+			j.notify()
 		},
 	})
 	if err != nil {
@@ -979,7 +985,7 @@ func (m *Manager) runSweep(ctx context.Context, j *Job) error {
 	j.done = restored
 	j.resumed = restored
 	j.mu.Unlock()
-	m.persist(j)
+	j.notify()
 	if restored > 0 {
 		m.logf("job %s: restored %d/%d cells from checkpoints", j.id, restored, n)
 	}
@@ -1026,7 +1032,7 @@ func (m *Manager) runSweep(ctx context.Context, j *Job) error {
 			j.done = doneBase + done
 		}
 		j.mu.Unlock()
-		m.persist(j)
+		j.notify()
 	})
 	if err != nil {
 		return err
@@ -1073,7 +1079,7 @@ func (m *Manager) distributeCells(ctx context.Context, j *Job, points []explorer
 			j.done = done
 		}
 		j.mu.Unlock()
-		m.persist(j)
+		j.notify()
 	})
 	return landed, err
 }
@@ -1099,13 +1105,13 @@ func (m *Manager) distributeArtifactChars(ctx context.Context, j *Job) error {
 	j.mu.Lock()
 	j.total = len(missing) + 1 // characterizations plus the final render
 	j.mu.Unlock()
-	m.persist(j)
+	j.notify()
 	err := m.opts.Distributor.DistributeChars(ctx, j.id, missing, func(i int, r array.Result) {
 		exp.SeedCharacterization(missing[i], r)
 		j.mu.Lock()
 		j.done++
 		j.mu.Unlock()
-		m.persist(j)
+		j.notify()
 	})
 	if err != nil {
 		if errors.Is(err, ErrNoWorkers) {

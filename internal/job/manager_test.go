@@ -280,10 +280,8 @@ func TestCrashRecoveryResumesFromCheckpoints(t *testing.T) {
 		t.Fatalf("first run state = %s, want cancelled", st.State)
 	}
 	checkpoints := 0
-	_ = st1.Walk(func(key string, val []byte) error {
-		if strings.HasPrefix(key, cellPrefix) {
-			checkpoints++
-		}
+	_ = st1.Walk(cellPrefix, func(key string, val []byte) error {
+		checkpoints++
 		return nil
 	})
 	if checkpoints != 2 {
@@ -552,5 +550,57 @@ func (m *Manager) WaitFor(ctx context.Context, id string) (Status, error) {
 		return j.Status(), nil
 	case <-ctx.Done():
 		return j.Status(), ctx.Err()
+	}
+}
+
+// recordWrites runs spec to completion on a fresh store and returns how
+// many times the job wrote its record: every Put minus one per other
+// entry the run left behind (each is written exactly once, and the check
+// of their prefixes against wantOther keeps that subtraction honest).
+func recordWrites(t *testing.T, spec Spec, wantOther map[string]int) int64 {
+	t.Helper()
+	st := openStore(t, t.TempDir())
+	m := newTestManager(t, Options{Store: st, Workloads: workload.NewRegistry()})
+	sub, _, err := m.SubmitAs(spec, "", 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if fin := waitDone(t, m, sub.ID); fin.State != StateDone {
+		t.Fatalf("final status = %+v (%s)", fin, fin.Error)
+	}
+	other := map[string]int{}
+	records, others := 0, int64(0)
+	if err := st.Walk("", func(key string, _ []byte) error {
+		if strings.HasPrefix(key, recordPrefix) {
+			records++
+		} else {
+			other[key[:strings.IndexByte(key, '|')+1]]++
+			others++
+		}
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if records != 1 || fmt.Sprint(other) != fmt.Sprint(wantOther) {
+		t.Fatalf("store holds %d records and other entries %v, want 1 and %v", records, other, wantOther)
+	}
+	return st.Stats().Puts - others
+}
+
+// TestJobRecordWrittenPerState pins the persistence rule: a job writes
+// its record at submit and at its terminal transition only — never per
+// progress tick — for a long ingest (nine of ingest's 64 Ki-access replay
+// chunks) and a multi-cell sweep alike.
+func TestJobRecordWrittenPerState(t *testing.T) {
+	ingestJob := ingestSpec("long")
+	ingestJob.Generator.Accesses = 9 << 16
+	if got := recordWrites(t, Spec{Kind: KindIngest, Ingest: ingestJob},
+		map[string]int{"jobresult|": 1, "sig|": 1, "trace|": 1, "workload|": 1}); got != 2 {
+		t.Errorf("ingest job wrote its record %d times, want 2 (submit + terminal)", got)
+	}
+	sweep := sweepSpec()
+	sweep.Benchmarks = []string{"namd", "mcf"}
+	if got := recordWrites(t, sweep, map[string]int{"jobcell|": 4, "jobresult|": 1}); got != 2 {
+		t.Errorf("sweep job wrote its record %d times, want 2 (submit + terminal)", got)
 	}
 }

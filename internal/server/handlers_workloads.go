@@ -294,8 +294,8 @@ func (s *Server) handleWorkloadDelete(w http.ResponseWriter, r *http.Request) {
 		_ = s.st.Delete(ingest.WorkloadKeyPrefix + name)
 		_ = s.st.Delete(distill.KeyPrefix + name)
 		var stale []string
-		_ = s.st.Walk(func(key string, val []byte) error {
-			if rest, ok := strings.CutPrefix(key, respPrefix); ok && staleForWorkload(name)(rest) {
+		_ = s.st.Walk(respPrefix, func(key string, val []byte) error {
+			if staleForWorkload(name)(strings.TrimPrefix(key, respPrefix)) {
 				stale = append(stale, key)
 			}
 			return nil

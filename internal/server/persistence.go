@@ -69,11 +69,9 @@ func (c charStore) Save(key string, r array.Result) {
 // simply evict oldest-first and remain reachable through the tier.
 func warmCache(st *store.Store, c interface{ Seed(string, []byte) }) int {
 	n := 0
-	_ = st.Walk(func(key string, val []byte) error {
-		if rest, ok := strings.CutPrefix(key, respPrefix); ok {
-			c.Seed(rest, val)
-			n++
-		}
+	_ = st.Walk(respPrefix, func(key string, val []byte) error {
+		c.Seed(strings.TrimPrefix(key, respPrefix), val)
+		n++
 		return nil
 	})
 	return n

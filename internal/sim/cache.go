@@ -5,6 +5,12 @@
 // per-level read/write/miss counts, from which per-benchmark LLC traffic
 // rates (reads/s and writes/s under continuous operation at 5 GHz) are
 // extrapolated exactly as the paper does with Sniper statistics.
+//
+// Each cache level is one flat []uint64 of sets × ways packed line words
+// (tag<<2 | dirty<<1 | valid), every set kept in most-recently-used order,
+// so a lookup and the fill after its miss are one scan of one set and LRU
+// needs no timestamps. The counters are bit-identical to a timestamp-LRU
+// model, which reference_test.go keeps as the oracle.
 package sim
 
 import (
@@ -31,6 +37,11 @@ func (c CacheConfig) Validate() error {
 	}
 	if c.BlockBytes&(c.BlockBytes-1) != 0 {
 		return fmt.Errorf("sim: %s: block size must be a power of two", c.Name)
+	}
+	if c.BlockBytes < 1<<tagShift {
+		// A packed line word keeps its two state bits below the tag, so
+		// at least two address bits must fall below the tag.
+		return fmt.Errorf("sim: %s: block size must be at least %d bytes", c.Name, 1<<tagShift)
 	}
 	sets := c.SizeBytes / (c.BlockBytes * c.Ways)
 	if sets <= 0 {
@@ -70,23 +81,29 @@ func (s Stats) MissRate() float64 {
 	return float64(s.Misses()) / float64(s.Accesses())
 }
 
-// line is one cache line's metadata.
-type line struct {
-	tag   uint64
-	valid bool
-	dirty bool
-	used  uint64 // LRU timestamp
-}
+// Line packing: each way is one uint64 word, tag<<2 | dirty<<1 | valid.
+// An all-zero word is an invalid way.
+const (
+	validBit = 1
+	dirtyBit = 2
+	tagShift = 2
+)
 
 // Cache is a set-associative, write-back, write-allocate cache with LRU
-// replacement.
+// replacement. All sets live in one flat slice of packed words, Ways per
+// set, and each set is kept in most-recently-used order with its valid
+// words first: a hit moves its word to the front, a fill shifts the set
+// right by one and takes the front, and the word that falls off the end
+// of a full set is the LRU victim. Position in the set is the LRU order,
+// so no timestamps are stored.
 type Cache struct {
-	cfg      CacheConfig
-	sets     [][]line
-	setShift uint
-	setMask  uint64
-	clock    uint64
-	stats    Stats
+	cfg       CacheConfig
+	words     []uint64
+	ways      int
+	blockBits uint // log2(BlockBytes)
+	setBits   uint // log2(sets)
+	setMask   uint64
+	stats     Stats
 }
 
 // NewCache builds an empty cache.
@@ -94,15 +111,13 @@ func NewCache(cfg CacheConfig) (*Cache, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	sets := make([][]line, cfg.Sets())
-	for i := range sets {
-		sets[i] = make([]line, cfg.Ways)
-	}
 	return &Cache{
-		cfg:      cfg,
-		sets:     sets,
-		setShift: uint(bits.TrailingZeros(uint(cfg.BlockBytes))),
-		setMask:  uint64(cfg.Sets() - 1),
+		cfg:       cfg,
+		words:     make([]uint64, cfg.Sets()*cfg.Ways),
+		ways:      cfg.Ways,
+		blockBits: uint(bits.TrailingZeros(uint(cfg.BlockBytes))),
+		setBits:   uint(bits.TrailingZeros(uint(cfg.Sets()))),
+		setMask:   uint64(cfg.Sets() - 1),
 	}, nil
 }
 
@@ -112,30 +127,43 @@ func (c *Cache) Config() CacheConfig { return c.cfg }
 // Stats returns a copy of the counters.
 func (c *Cache) Stats() Stats { return c.stats }
 
-// index splits an address into set index and tag.
-func (c *Cache) index(addr uint64) (set int, tag uint64) {
-	blk := addr >> c.setShift
-	return int(blk & c.setMask), blk >> bits.TrailingZeros64(c.setMask+1)
+// locate returns the address's set (as a slice of its ways), its set
+// index, and the valid, clean word that would hold it.
+func (c *Cache) locate(addr uint64) (ways []uint64, set, word uint64) {
+	blk := addr >> c.blockBits
+	set = blk & c.setMask
+	base := int(set) * c.ways
+	return c.words[base : base+c.ways : base+c.ways], set, blk>>c.setBits<<tagShift | validBit
 }
 
-// Lookup probes for the address; on a hit it updates LRU state and, for
-// writes, marks the line dirty. Counters are updated either way.
-func (c *Cache) Lookup(addr uint64, write bool) bool {
+// Access is one demand lookup: a hit moves the line to the front of its
+// set (marking it dirty on a write); a miss installs it there
+// (write-allocate) in the same pass and returns the evicted victim's
+// address and whether it was dirty, needing a writeback to the level
+// below. Counters are updated either way.
+func (c *Cache) Access(addr uint64, write bool) (hit bool, victimAddr uint64, wb bool) {
+	var dirty uint64
 	if write {
 		c.stats.Writes++
+		dirty = dirtyBit
 	} else {
 		c.stats.Reads++
 	}
-	set, tag := c.index(addr)
-	c.clock++
-	for i := range c.sets[set] {
-		l := &c.sets[set][i]
-		if l.valid && l.tag == tag {
-			l.used = c.clock
-			if write {
-				l.dirty = true
-			}
-			return true
+	ways, set, word := c.locate(addr)
+	// One pass searches the set and shifts every word it passes one way
+	// right: a hit then moves its word into the freed front, and a miss
+	// has already installed the new word there and carries out the last
+	// one — an empty way, or the LRU victim of a full set.
+	carry := word | dirty
+	for i, w := range ways {
+		ways[i] = carry
+		if w&^dirtyBit == word {
+			ways[0] = w | dirty
+			return true, 0, false
+		}
+		carry = w
+		if w == 0 {
+			break // valid words come first: the rest are empty too
 		}
 	}
 	if write {
@@ -143,44 +171,44 @@ func (c *Cache) Lookup(addr uint64, write bool) bool {
 	} else {
 		c.stats.ReadMisses++
 	}
-	return false
+	victimAddr, wb = c.evicted(carry, set)
+	return false, victimAddr, wb
 }
 
-// Fill installs the address after a miss (write-allocate). It returns the
-// evicted victim's address and whether that victim was dirty (needing a
-// writeback to the level below).
+// Fill installs an absent address without a demand lookup (the
+// prefetcher's path, after Contains reported it missing). It returns the
+// evicted victim's address and whether that victim was dirty.
 func (c *Cache) Fill(addr uint64, write bool) (victimAddr uint64, wb bool) {
-	set, tag := c.index(addr)
-	c.clock++
-	victim := 0
-	for i := range c.sets[set] {
-		l := &c.sets[set][i]
-		if !l.valid {
-			victim = i
-			break
-		}
-		if l.used < c.sets[set][victim].used {
-			victim = i
-		}
+	ways, set, word := c.locate(addr)
+	if write {
+		word |= dirtyBit
 	}
-	v := &c.sets[set][victim]
-	if v.valid && v.dirty {
-		wb = true
-		victimAddr = ((v.tag << bits.TrailingZeros64(c.setMask+1)) | uint64(set)) << c.setShift
-		c.stats.Writebacks++
+	last := ways[len(ways)-1]
+	copy(ways[1:], ways)
+	ways[0] = word
+	return c.evicted(last, set)
+}
+
+// evicted accounts for a word shifted out of a set: a dirty victim is
+// counted and its address rebuilt from its tag and the set index.
+func (c *Cache) evicted(w, set uint64) (victimAddr uint64, wb bool) {
+	if w&(validBit|dirtyBit) != validBit|dirtyBit {
+		return 0, false
 	}
-	*v = line{tag: tag, valid: true, dirty: write, used: c.clock}
-	return victimAddr, wb
+	c.stats.Writebacks++
+	return (w>>tagShift<<c.setBits | set) << c.blockBits, true
 }
 
 // Contains probes for the address without touching statistics or LRU
-// state (used by prefetchers to avoid redundant fills).
+// order (used by prefetchers to avoid redundant fills).
 func (c *Cache) Contains(addr uint64) bool {
-	set, tag := c.index(addr)
-	for i := range c.sets[set] {
-		l := &c.sets[set][i]
-		if l.valid && l.tag == tag {
+	ways, _, word := c.locate(addr)
+	for _, w := range ways {
+		if w&^dirtyBit == word {
 			return true
+		}
+		if w == 0 {
+			return false
 		}
 	}
 	return false

@@ -121,14 +121,15 @@ func (h *Hierarchy) accessLevel(i int, addr uint64, write bool) {
 		}
 		return
 	}
-	c := h.levels[i]
-	if c.Lookup(addr, write) {
+	hit, victim, wb := h.levels[i].Access(addr, write)
+	if hit {
 		return
 	}
-	// Miss: fetch the block from outward (reads the next level), then
-	// install locally, pushing any dirty victim outward.
+	// Miss: the block is already installed locally; fetch it from
+	// outward (reads the next level), then push any dirty victim outward.
+	// Each level sees the same operation order as lookup, fetch, fill.
 	h.accessLevel(i+1, addr, false)
-	if victim, wb := c.Fill(addr, write); wb {
+	if wb {
 		h.accessLevel(i+1, victim, true)
 	}
 }

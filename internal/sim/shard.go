@@ -264,8 +264,7 @@ func (s *Sharded) ReplayReader(ctx context.Context, r trace.Reader, chunk int, p
 	if br, ok := r.(trace.BlockReader); ok {
 		// Binary streams decode block-wise: whole blocks append in one
 		// copy, and every flush lands on a CRC-framed block boundary, so
-		// the progress checkpoints the job layer records correspond
-		// exactly to complete blocks.
+		// every progress report corresponds exactly to complete blocks.
 		for {
 			block, err := br.ReadBlock()
 			if err != nil {

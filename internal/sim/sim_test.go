@@ -23,6 +23,7 @@ func TestCacheConfigValidate(t *testing.T) {
 		{Name: "c", SizeBytes: 1024, BlockBytes: 64, Ways: 0},
 		{Name: "d", SizeBytes: 3 * 64, BlockBytes: 64, Ways: 1}, // 3 sets: not power of two
 		{Name: "e", SizeBytes: 64, BlockBytes: 64, Ways: 2},     // capacity < one set
+		{Name: "f", SizeBytes: 64, BlockBytes: 2, Ways: 2},      // no room for the state bits
 	}
 	for _, cfg := range bad {
 		if err := cfg.Validate(); err == nil {
@@ -38,16 +39,21 @@ func TestCacheConfigValidate(t *testing.T) {
 	}
 }
 
+// hits performs one demand access and reports whether it hit.
+func hits(c *Cache, addr uint64, write bool) bool {
+	hit, _, _ := c.Access(addr, write)
+	return hit
+}
+
 func TestCacheHitAfterFill(t *testing.T) {
 	c := small(t)
-	if c.Lookup(0x1000, false) {
+	if hits(c, 0x1000, false) {
 		t.Fatal("cold cache should miss")
 	}
-	c.Fill(0x1000, false)
-	if !c.Lookup(0x1000, false) {
-		t.Fatal("should hit after fill")
+	if !hits(c, 0x1000, false) {
+		t.Fatal("should hit after the miss installed the block")
 	}
-	if !c.Lookup(0x1000+32, false) {
+	if !hits(c, 0x1000+32, false) {
 		t.Fatal("same block should hit regardless of offset")
 	}
 	s := c.Stats()
@@ -60,17 +66,14 @@ func TestCacheLRUEviction(t *testing.T) {
 	// 2-way cache, 8 sets: addresses 0, 8*64, 16*64 map to set 0.
 	c := small(t)
 	a, b, d := uint64(0), uint64(8*64), uint64(16*64)
-	c.Lookup(a, false)
-	c.Fill(a, false)
-	c.Lookup(b, false)
-	c.Fill(b, false)
-	c.Lookup(a, false) // touch a so b is LRU
-	c.Lookup(d, false)
-	c.Fill(d, false) // evicts b
-	if !c.Lookup(a, false) {
+	hits(c, a, false)
+	hits(c, b, false)
+	hits(c, a, false) // touch a so b is LRU
+	hits(c, d, false) // evicts b
+	if !hits(c, a, false) {
 		t.Error("a should survive (recently used)")
 	}
-	if c.Lookup(b, false) {
+	if hits(c, b, false) {
 		t.Error("b should have been evicted (LRU)")
 	}
 }
@@ -78,12 +81,9 @@ func TestCacheLRUEviction(t *testing.T) {
 func TestCacheWritebackOnDirtyEviction(t *testing.T) {
 	c := small(t)
 	a, b, d := uint64(0), uint64(8*64), uint64(16*64)
-	c.Lookup(a, true)
-	c.Fill(a, true) // dirty
-	c.Lookup(b, false)
-	c.Fill(b, false)
-	c.Lookup(d, false)
-	victim, wb := c.Fill(d, false) // evicts a (LRU, dirty)
+	hits(c, a, true) // dirty
+	hits(c, b, false)
+	_, victim, wb := c.Access(d, false) // evicts a (LRU, dirty)
 	if !wb {
 		t.Fatal("dirty eviction should report a writeback")
 	}
@@ -98,14 +98,11 @@ func TestCacheWritebackOnDirtyEviction(t *testing.T) {
 func TestCacheVictimAddressReconstruction(t *testing.T) {
 	c := small(t)
 	addr := uint64(0x3F40) // arbitrary block-aligned address
-	c.Lookup(addr, true)
-	c.Fill(addr, true)
+	hits(c, addr, true)
 	// Fill two more conflicting blocks in the same set to evict it.
 	setStride := uint64(8 * 64)
-	c.Lookup(addr+setStride, false)
-	c.Fill(addr+setStride, false)
-	c.Lookup(addr+2*setStride, false)
-	victim, wb := c.Fill(addr+2*setStride, false)
+	hits(c, addr+setStride, false)
+	_, victim, wb := c.Access(addr+2*setStride, false)
 	if !wb || victim != addr {
 		t.Errorf("victim %#x wb=%v, want %#x true", victim, wb, addr)
 	}
@@ -113,14 +110,12 @@ func TestCacheVictimAddressReconstruction(t *testing.T) {
 
 func TestFlushCountsDirtyLines(t *testing.T) {
 	c := small(t)
-	c.Lookup(0, true)
-	c.Fill(0, true)
-	c.Lookup(64*100, false)
-	c.Fill(64*100, false)
+	hits(c, 0, true)
+	hits(c, 64*100, false)
 	if dirty := c.Flush(); dirty != 1 {
 		t.Errorf("flush reported %d dirty lines, want 1", dirty)
 	}
-	if c.Lookup(0, false) {
+	if hits(c, 0, false) {
 		t.Error("flush should invalidate lines")
 	}
 }
@@ -275,9 +270,7 @@ func TestCacheStatsConservationProperty(t *testing.T) {
 		}
 		for i := 0; i < int(n)%2000+100; i++ {
 			a := g.Next()
-			if !c.Lookup(a.Addr, a.Write) {
-				c.Fill(a.Addr, a.Write)
-			}
+			c.Access(a.Addr, a.Write)
 		}
 		s := c.Stats()
 		return s.Writebacks <= s.Misses() && s.Misses() <= s.Accesses()
@@ -289,8 +282,7 @@ func TestCacheStatsConservationProperty(t *testing.T) {
 
 func TestCacheContainsDoesNotPerturb(t *testing.T) {
 	c := small(t)
-	c.Lookup(0x1000, false)
-	c.Fill(0x1000, false)
+	hits(c, 0x1000, false)
 	before := c.Stats()
 	if !c.Contains(0x1000) || c.Contains(0x2000000) {
 		t.Error("Contains gave wrong answers")
@@ -337,13 +329,11 @@ func TestNextLinePrefetchHelpsStreams(t *testing.T) {
 // would have been written back.
 func (c *Cache) Flush() uint64 {
 	var dirty uint64
-	for s := range c.sets {
-		for i := range c.sets[s] {
-			if c.sets[s][i].valid && c.sets[s][i].dirty {
-				dirty++
-			}
-			c.sets[s][i] = line{}
+	for i, w := range c.words {
+		if w&(validBit|dirtyBit) == validBit|dirtyBit {
+			dirty++
 		}
+		c.words[i] = 0
 	}
 	return dirty
 }

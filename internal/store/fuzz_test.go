@@ -16,6 +16,9 @@ func FuzzDecodeEntry(f *testing.F) {
 	f.Add(encodeEntry("v1", "k", nil))
 	f.Add([]byte("coldtall-store/1\nversion \"v1\"\nkey \"k\"\nlen 999999\ncrc32 00000000\nshort"))
 	f.Add([]byte("coldtall-store/1\nversion \"v1\"\nkey \"k\"\nlen -1\ncrc32 zz\n"))
+	// A length far beyond the entry must be rejected before it sizes an
+	// allocation.
+	f.Add([]byte("coldtall-store/1\nversion \"v1\"\nkey \"k\"\nlen 1099511627776\ncrc32 00000000\n"))
 	f.Fuzz(func(t *testing.T, raw []byte) {
 		version, key, val, err := decodeEntry(raw)
 		if err != nil {
@@ -56,7 +59,7 @@ func FuzzStoreGetNeverPanics(f *testing.F) {
 				t.Fatalf("Get served %q from raw %q", v, raw)
 			}
 		}
-		if err := s.Walk(func(string, []byte) error { return nil }); err != nil {
+		if err := s.Walk("", func(string, []byte) error { return nil }); err != nil {
 			t.Fatalf("walk errored on fuzzed entry: %v", err)
 		}
 		// The slot must be clean for a recompute regardless of what the

@@ -27,6 +27,7 @@ import (
 	"bytes"
 	"crypto/sha256"
 	"encoding/hex"
+	"errors"
 	"fmt"
 	"hash/crc32"
 	"io"
@@ -115,35 +116,46 @@ func (s *Store) fileFor(key string) string {
 	return filepath.Join(s.dir, entriesDir, hex.EncodeToString(sum[:20])+entryExt)
 }
 
-// encodeEntry renders the on-disk form: a line-oriented header (magic,
-// quoted version, quoted key, payload length, payload CRC-32) followed by
-// the raw payload bytes.
-func encodeEntry(version, key string, val []byte) []byte {
-	var b bytes.Buffer
-	fmt.Fprintf(&b, "%s\nversion %s\nkey %s\nlen %d\ncrc32 %08x\n",
-		magic, strconv.Quote(version), strconv.Quote(key), len(val), crc32.ChecksumIEEE(val))
-	b.Write(val)
-	return b.Bytes()
+// writeEntry writes the on-disk form to w: a line-oriented header
+// (magic, quoted version, quoted key, payload length, payload CRC-32)
+// followed by the raw payload bytes.
+func writeEntry(w io.Writer, version, key string, val []byte) error {
+	if _, err := fmt.Fprintf(w, "%s\nversion %s\nkey %s\nlen %d\ncrc32 %08x\n",
+		magic, strconv.Quote(version), strconv.Quote(key), len(val), crc32.ChecksumIEEE(val)); err != nil {
+		return err
+	}
+	_, err := w.Write(val)
+	return err
 }
 
 // errCorrupt marks an entry that failed structural or checksum validation.
 var errCorrupt = fmt.Errorf("store: corrupt entry")
 
-// decodeEntry parses an encoded entry, returning its version stamp, key
-// and payload. Any structural defect — truncation, bad quoting, a length
-// or CRC mismatch, trailing garbage — returns errCorrupt.
-func decodeEntry(raw []byte) (version, key string, val []byte, err error) {
-	r := bufio.NewReader(bytes.NewReader(raw))
+// entryHeader is a parsed entry header.
+type entryHeader struct {
+	version, key string
+	n            int    // payload length
+	crc          uint32 // payload CRC-32
+}
+
+// readHeader parses an entry header from r, leaving r at the first
+// payload byte. Any structural defect — truncation, bad quoting, a
+// malformed length or CRC field — returns errCorrupt; a read error is
+// returned as is.
+func readHeader(r *bufio.Reader) (h entryHeader, err error) {
 	line := func() (string, error) {
 		l, err := r.ReadString('\n')
-		if err != nil {
+		if err == io.EOF {
 			return "", errCorrupt
+		}
+		if err != nil {
+			return "", err
 		}
 		return strings.TrimSuffix(l, "\n"), nil
 	}
 	first, err := line()
 	if err != nil || first != magic {
-		return "", "", nil, errCorrupt
+		return h, errCorrupt
 	}
 	field := func(name string) (string, error) {
 		l, err := line()
@@ -157,7 +169,7 @@ func decodeEntry(raw []byte) (version, key string, val []byte, err error) {
 		return rest, nil
 	}
 	// The decoder is strict: every field must carry the one canonical
-	// spelling encodeEntry produces (no alternate escapes, no leading
+	// spelling writeEntry produces (no alternate escapes, no leading
 	// zeros), so decode∘encode is a fixed point — the property the fuzz
 	// harness pins.
 	quoted := func(name string) (string, error) {
@@ -171,39 +183,71 @@ func decodeEntry(raw []byte) (version, key string, val []byte, err error) {
 		}
 		return v, nil
 	}
-	if version, err = quoted("version"); err != nil {
-		return "", "", nil, err
+	if h.version, err = quoted("version"); err != nil {
+		return h, err
 	}
-	if key, err = quoted("key"); err != nil {
-		return "", "", nil, err
+	if h.key, err = quoted("key"); err != nil {
+		return h, err
 	}
 	lenField, err := field("len")
 	if err != nil {
-		return "", "", nil, err
+		return h, err
 	}
-	n, err := strconv.Atoi(lenField)
-	if err != nil || n < 0 || strconv.Itoa(n) != lenField {
-		return "", "", nil, errCorrupt
+	h.n, err = strconv.Atoi(lenField)
+	if err != nil || h.n < 0 || strconv.Itoa(h.n) != lenField {
+		return h, errCorrupt
 	}
 	crcField, err := field("crc32")
 	if err != nil {
+		return h, err
+	}
+	crc, err := strconv.ParseUint(crcField, 16, 32)
+	if err != nil || fmt.Sprintf("%08x", crc) != crcField {
+		return h, errCorrupt
+	}
+	h.crc = uint32(crc)
+	return h, nil
+}
+
+// readPayload reads the h.n payload bytes that follow the header and
+// verifies them: a length beyond size (the whole entry's byte count, so a
+// corrupt length never sizes an allocation), a short payload, trailing
+// garbage or a CRC mismatch returns errCorrupt; a read error is returned
+// as is.
+func readPayload(r *bufio.Reader, h entryHeader, size int64) ([]byte, error) {
+	if int64(h.n) > size {
+		return nil, errCorrupt
+	}
+	val := make([]byte, h.n)
+	if _, err := io.ReadFull(r, val); err == io.EOF || err == io.ErrUnexpectedEOF {
+		return nil, errCorrupt
+	} else if err != nil {
+		return nil, err
+	}
+	switch _, err := r.ReadByte(); {
+	case err == nil:
+		return nil, errCorrupt // trailing garbage
+	case err != io.EOF:
+		return nil, err
+	}
+	if crc32.ChecksumIEEE(val) != h.crc {
+		return nil, errCorrupt
+	}
+	return val, nil
+}
+
+// decodeEntry parses an encoded entry, returning its version stamp, key
+// and payload, or errCorrupt for any structural defect.
+func decodeEntry(raw []byte) (version, key string, val []byte, err error) {
+	r := bufio.NewReader(bytes.NewReader(raw))
+	h, err := readHeader(r)
+	if err != nil {
 		return "", "", nil, err
 	}
-	wantCRC, err := strconv.ParseUint(crcField, 16, 32)
-	if err != nil || fmt.Sprintf("%08x", wantCRC) != crcField {
-		return "", "", nil, errCorrupt
+	if val, err = readPayload(r, h, int64(len(raw))); err != nil {
+		return "", "", nil, err
 	}
-	val = make([]byte, n)
-	if _, err := io.ReadFull(r, val); err != nil {
-		return "", "", nil, errCorrupt
-	}
-	if _, err := r.ReadByte(); err != io.EOF {
-		return "", "", nil, errCorrupt // trailing garbage
-	}
-	if crc32.ChecksumIEEE(val) != uint32(wantCRC) {
-		return "", "", nil, errCorrupt
-	}
-	return version, key, val, nil
+	return h.version, h.key, val, nil
 }
 
 // Put writes (or overwrites) key atomically: the entry is staged in a
@@ -217,7 +261,7 @@ func (s *Store) Put(key string, val []byte) error {
 		return fmt.Errorf("store: put %q: %w", key, err)
 	}
 	defer os.Remove(tmp.Name()) // no-op after a successful rename
-	if _, err := tmp.Write(encodeEntry(s.version, key, val)); err != nil {
+	if err := writeEntry(tmp, s.version, key, val); err != nil {
 		tmp.Close()
 		return fmt.Errorf("store: put %q: %w", key, err)
 	}
@@ -283,11 +327,15 @@ func (s *Store) quarantine(path string) {
 	}
 }
 
-// Walk calls fn for every live same-version entry in deterministic (file
-// name) order. Corrupt entries are quarantined and skipped; entries under
-// other model versions are skipped. A non-nil error from fn stops the walk
-// and is returned.
-func (s *Store) Walk(fn func(key string, val []byte) error) error {
+// Walk calls fn for every live same-version entry whose key starts with
+// prefix ("" walks everything), in deterministic (file name) order. Every
+// entry's header is parsed, but only entries under prefix have their
+// payload read and checked. Header-corrupt entries, and payload-corrupt
+// entries under prefix, are quarantined and skipped; a payload-corrupt
+// entry under another prefix is left for the Get that reads it. Entries
+// under other model versions are skipped. A non-nil error from fn stops
+// the walk and is returned.
+func (s *Store) Walk(prefix string, fn func(key string, val []byte) error) error {
 	dir := filepath.Join(s.dir, entriesDir)
 	names, err := os.ReadDir(dir)
 	if err != nil {
@@ -300,22 +348,42 @@ func (s *Store) Walk(fn func(key string, val []byte) error) error {
 		}
 	}
 	sort.Strings(sorted)
+	var r *bufio.Reader
 	for _, name := range sorted {
 		path := filepath.Join(dir, name)
-		raw, err := os.ReadFile(path)
+		f, err := os.Open(path)
 		if err != nil {
 			continue // raced with a Delete/quarantine; nothing to visit
 		}
-		version, key, val, err := decodeEntry(raw)
+		fi, err := f.Stat()
 		if err != nil {
-			s.quarantine(path)
+			f.Close()
 			continue
 		}
-		if version != s.version {
+		if r == nil {
+			r = bufio.NewReader(f)
+		} else {
+			r.Reset(f)
+		}
+		h, err := readHeader(r)
+		var val []byte
+		if err == nil && strings.HasPrefix(h.key, prefix) {
+			val, err = readPayload(r, h, fi.Size())
+		}
+		f.Close()
+		switch {
+		case errors.Is(err, errCorrupt):
+			s.quarantine(path)
+			continue
+		case err != nil:
+			continue // unreadable right now; not evidence of corruption
+		case !strings.HasPrefix(h.key, prefix):
+			continue
+		case h.version != s.version:
 			s.skipped.Add(1)
 			continue
 		}
-		if err := fn(key, val); err != nil {
+		if err := fn(h.key, val); err != nil {
 			return err
 		}
 	}

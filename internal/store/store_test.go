@@ -5,9 +5,19 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"sort"
 	"strings"
 	"testing"
 )
+
+// encodeEntry renders an entry's on-disk bytes exactly as Put writes them.
+func encodeEntry(version, key string, val []byte) []byte {
+	var b bytes.Buffer
+	if err := writeEntry(&b, version, key, val); err != nil {
+		panic(err)
+	}
+	return b.Bytes()
+}
 
 func open(t *testing.T, dir, version string) *Store {
 	t.Helper()
@@ -176,7 +186,7 @@ func TestWalkVisitsLiveEntriesInOrder(t *testing.T) {
 	}
 	got := map[string]string{}
 	var order []string
-	if err := s.Walk(func(key string, val []byte) error {
+	if err := s.Walk("", func(key string, val []byte) error {
 		got[key] = string(val)
 		order = append(order, key)
 		return nil
@@ -193,7 +203,7 @@ func TestWalkVisitsLiveEntriesInOrder(t *testing.T) {
 	}
 	// Deterministic order: repeat walk sees the same sequence.
 	var order2 []string
-	if err := s.Walk(func(key string, _ []byte) error {
+	if err := s.Walk("", func(key string, _ []byte) error {
 		order2 = append(order2, key)
 		return nil
 	}); err != nil {
@@ -242,6 +252,82 @@ func TestKeyFormatGolden(t *testing.T) {
 		"hello-payload"
 	if got := string(encodeEntry("vtest", key, []byte("hello-payload"))); got != wantEntry {
 		t.Errorf("entry encoding drifted:\ngot:\n%s\nwant:\n%s", got, wantEntry)
+	}
+	// Put streams the header and then the payload into the entry file;
+	// the bytes on disk must be the same encoding.
+	if err := s.Put(key, []byte("hello-payload")); err != nil {
+		t.Fatal(err)
+	}
+	if raw, err := os.ReadFile(s.fileFor(key)); err != nil || string(raw) != wantEntry {
+		t.Errorf("Put wrote %q (%v), want %q", raw, err, wantEntry)
+	}
+}
+
+// TestWalkPrefix: a prefixed walk visits exactly the keys under the
+// prefix in file-name order, quarantines header-corrupt entries, and
+// leaves a payload-corrupt entry under another prefix for the Get that
+// reads it to quarantine.
+func TestWalkPrefix(t *testing.T) {
+	dir := t.TempDir()
+	s := open(t, dir, "v1")
+	for _, k := range []string{"job|a", "job|b", "job|c", "jobcell|x", "resp|y", "jo"} {
+		if err := s.Put(k, []byte("val-"+k)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// Payload corruption under another prefix: a flipped payload byte
+	// keeps the header parseable but breaks the CRC.
+	if err := s.Put("resp|bad", []byte("payload")); err != nil {
+		t.Fatal(err)
+	}
+	badPath := s.fileFor("resp|bad")
+	raw, err := os.ReadFile(badPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	raw[len(raw)-1] ^= 0xff
+	if err := os.WriteFile(badPath, raw, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	// Header corruption: no parseable header at all.
+	junk := filepath.Join(dir, entriesDir, "junk.entry")
+	if err := os.WriteFile(junk, []byte("not an entry"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	// The expected visit order is the entries' file-name order.
+	want := []string{"job|a", "job|b", "job|c"}
+	sort.Slice(want, func(i, j int) bool { return s.fileFor(want[i]) < s.fileFor(want[j]) })
+	var got []string
+	if err := s.Walk("job|", func(key string, val []byte) error {
+		if string(val) != "val-"+key {
+			t.Errorf("walk %s: value %q", key, val)
+		}
+		got = append(got, key)
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if strings.Join(got, ",") != strings.Join(want, ",") {
+		t.Errorf("Walk(job|) visited %v, want %v", got, want)
+	}
+	if _, err := os.Stat(junk); !os.IsNotExist(err) {
+		t.Error("header-corrupt entry was not quarantined by the prefixed walk")
+	}
+	if c := s.Stats().Corrupt; c != 1 {
+		t.Errorf("corrupt count after walk = %d, want 1 (the junk header only)", c)
+	}
+	if _, err := os.Stat(badPath); err != nil {
+		t.Errorf("payload-corrupt entry outside the prefix was touched: %v", err)
+	}
+	if _, ok := s.Get("resp|bad"); ok {
+		t.Fatal("payload-corrupt entry served")
+	}
+	if _, err := os.Stat(badPath); !os.IsNotExist(err) {
+		t.Error("Get did not quarantine the payload-corrupt entry")
+	}
+	if c := s.Stats().Corrupt; c != 2 {
+		t.Errorf("corrupt count after Get = %d, want 2", c)
 	}
 }
 
