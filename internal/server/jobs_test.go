@@ -171,6 +171,60 @@ func TestAsyncArtifactMatchesSyncEndpoint(t *testing.T) {
 	}
 }
 
+// TestAsyncRequestKindsMatchSync pins the async form of every
+// request-sized endpoint to the synchronous one: the /v1/jobs/{id}/result
+// bytes equal the POST response body for characterize, evaluate (static
+// benchmark and ingested generator workload) and sweep (explicit benchmark
+// list and the empty list meaning all 23 static benchmarks).
+func TestAsyncRequestKindsMatchSync(t *testing.T) {
+	s, _ := newTestServer(t, Config{})
+	t.Cleanup(s.jobs.Close)
+	h := s.Handler()
+	uploadWorkload(t, h, genIngestSpec("gen"))
+
+	cases := []struct {
+		name, path, body, spec string
+	}{
+		{"characterize", "/v1/characterize",
+			`{"cell":"PCM","corner":"optimistic","dies":8,"temperature_k":350}`,
+			`{"kind":"characterize","points":[{"cell":"PCM","corner":"optimistic","dies":8,"temperature_k":350}]}`},
+		{"evaluate/static", "/v1/evaluate",
+			`{"point":{"cell":"SRAM","temperature_k":77},"benchmark":"mcf"}`,
+			`{"kind":"evaluate","points":[{"cell":"SRAM","temperature_k":77}],"benchmarks":["mcf"]}`},
+		{"evaluate/ingested", "/v1/evaluate",
+			`{"point":{"cell":"3T-eDRAM"},"benchmark":"gen"}`,
+			`{"kind":"evaluate","points":[{"cell":"3T-eDRAM"}],"benchmarks":["gen"]}`},
+		{"sweep/explicit", "/v1/sweep",
+			`{"points":[{"cell":"SRAM"},{"cell":"3T-eDRAM","temperature_k":77}],"benchmarks":["namd","gen"]}`,
+			`{"kind":"sweep","points":[{"cell":"SRAM"},{"cell":"3T-eDRAM","temperature_k":77}],"benchmarks":["namd","gen"]}`},
+		{"sweep/all", "/v1/sweep",
+			`{"points":[{"cell":"SRAM","temperature_k":77}]}`,
+			`{"kind":"sweep","points":[{"cell":"SRAM","temperature_k":77}]}`},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			sync := post(t, h, tc.path, tc.body)
+			if sync.Code != http.StatusOK {
+				t.Fatalf("POST %s = %d: %s", tc.path, sync.Code, sync.Body)
+			}
+			id := submitJobHTTP(t, h, tc.spec)
+			if st := pollJob(t, h, id); st.State != job.StateDone {
+				t.Fatalf("job state = %s (%s)", st.State, st.Error)
+			}
+			res := get(t, h, "/v1/jobs/"+id+"/result")
+			if res.Code != http.StatusOK {
+				t.Fatalf("result = %d: %s", res.Code, res.Body)
+			}
+			if res.Body.String() != sync.Body.String() {
+				t.Errorf("async result diverged from POST %s\nsync:  %s\nasync: %s", tc.path, sync.Body, res.Body)
+			}
+			if got, want := res.Header().Get("Content-Type"), sync.Header().Get("Content-Type"); got != want {
+				t.Errorf("result content type = %q, sync %q", got, want)
+			}
+		})
+	}
+}
+
 // TestStoreWarmedRestart is the restart acceptance criterion: a second
 // server over the same store directory serves a previously-built artifact
 // without recomputation (zero optimizer invocations on its cold explorer).
