@@ -112,9 +112,9 @@ wlcheck:
 	$(GO) test -race -run 'TestWorkload' ./internal/server/ ./cmd/coldtall/
 	./scripts/wlcheck.sh
 
-# Reachability gate: every function and method declared under internal/
-# must be linked into some binary (the cmd/* and examples/* mains or the
-# coldbench harness). Test oracles live in _test.go files; the script's
+# Reachability gate: every function and method declared in the root
+# package coldtall or under internal/ must be linked into some binary (the
+# cmd/* and examples/* mains or the coldbench harness). Test oracles live in _test.go files; the script's
 # keep-list names the few shared test fixtures allowed to stay unlinked.
 deadcheck:
 	./scripts/deadcheck.sh

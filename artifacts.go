@@ -439,17 +439,6 @@ type ArtifactDescriptor = artifact.Descriptor[*Study]
 // CSV export and the HTTP server all derive their artifact surfaces from.
 func Artifacts() *artifact.Registry[*Study] { return artifacts }
 
-// ArtifactNames lists every exportable artifact file name ("fig1.csv", ...,
-// "reliability.csv") in paper order.
-func (s *Study) ArtifactNames() []string {
-	ds := artifacts.Descriptors()
-	out := make([]string, len(ds))
-	for i, d := range ds {
-		out[i] = d.File
-	}
-	return out
-}
-
 // ArtifactTable builds one artifact by registry name or file name and
 // returns it as a schema-carrying table — the writer-agnostic form Export,
 // RenderArtifact and the HTTP server all render from (CSV to a file or

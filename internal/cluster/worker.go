@@ -41,11 +41,6 @@ type WorkerOptions struct {
 	// Throttle sleeps before each unit evaluation — a demo/test knob
 	// that makes "killed mid-lease" scenarios deterministic.
 	Throttle time.Duration
-	// Rand supplies retry jitter; nil seeds from the clock. Inject a
-	// seeded source to make the schedule reproducible.
-	Rand *rand.Rand
-	// HTTPClient overrides the default 30s-timeout client.
-	HTTPClient *http.Client
 	// Logger receives lifecycle events; nil discards them.
 	Logger *log.Logger
 }
@@ -67,12 +62,10 @@ func RunWorker(ctx context.Context, opts WorkerOptions) error {
 	if opts.BackoffMax <= 0 {
 		opts.BackoffMax = 5 * time.Second
 	}
-	w := &clusterWorker{opts: opts, client: opts.HTTPClient, rng: opts.Rand}
-	if w.client == nil {
-		w.client = &http.Client{Timeout: 30 * time.Second}
-	}
-	if w.rng == nil {
-		w.rng = rand.New(rand.NewSource(time.Now().UnixNano()))
+	w := &clusterWorker{
+		opts:   opts,
+		client: &http.Client{Timeout: 30 * time.Second},
+		rng:    rand.New(rand.NewSource(time.Now().UnixNano())),
 	}
 	for {
 		if err := ctx.Err(); err != nil {

@@ -122,16 +122,12 @@ type Result struct {
 // Options tunes a fit; zero values select the defaults.
 type Options struct {
 	EvalAccesses int
-	MaxEvals     int
 	Seed         int64
 }
 
 func (o Options) withDefaults() Options {
 	if o.EvalAccesses <= 0 {
 		o.EvalAccesses = DefaultEvalAccesses
-	}
-	if o.MaxEvals <= 0 {
-		o.MaxEvals = DefaultMaxEvals
 	}
 	if o.Seed == 0 {
 		o.Seed = DefaultSeed
@@ -246,7 +242,7 @@ func Fit(ctx context.Context, name string, sig signature.Signature, measured wor
 		if err := ctx.Err(); err != nil {
 			return outcome{}, err
 		}
-		if evals >= opts.MaxEvals {
+		if evals >= DefaultMaxEvals {
 			return outcome{err: math.Inf(1)}, nil
 		}
 		evals++
@@ -272,7 +268,7 @@ func Fit(ctx context.Context, name string, sig signature.Signature, measured wor
 	// cycles the coordinates in a fixed order, greedily keeping any
 	// neighbor that lowers the objective.
 	llcStep, hotStep, wfStep, skewStep := 2.0, 4.0, 0.1, 0.3
-	for round := 0; round < 8 && bestOut.err > snapTolerance && evals < opts.MaxEvals; round++ {
+	for round := 0; round < 8 && bestOut.err > snapTolerance && evals < DefaultMaxEvals; round++ {
 		improved := false
 		try := func(c candidate) error {
 			c.llc = clampF(c.llc, 1e-7, 1)
@@ -312,7 +308,7 @@ func Fit(ctx context.Context, name string, sig signature.Signature, measured wor
 		}
 		neighbors = append(neighbors, flipped)
 		for _, c := range neighbors {
-			if bestOut.err <= snapTolerance || evals >= opts.MaxEvals {
+			if bestOut.err <= snapTolerance || evals >= DefaultMaxEvals {
 				break
 			}
 			if err := try(c); err != nil {

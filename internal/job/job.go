@@ -16,6 +16,7 @@ import (
 	"sort"
 	"strings"
 
+	"coldtall"
 	"coldtall/internal/explorer"
 	"coldtall/internal/ingest"
 	"coldtall/internal/workload"
@@ -58,22 +59,28 @@ func ParseState(s string) (State, error) {
 		s, StateQueued, StateRunning, StateDone, StateFailed, StateCancelled)
 }
 
-// Kind discriminates what a job computes.
+// Kind discriminates what a job computes. A kind that is the async form
+// of an endpoint has its result payload built by the same function as that
+// endpoint's response body (see payload.go).
 const (
 	// KindSweep evaluates a points x benchmarks grid (the async form of
-	// POST /v1/sweep).
+	// POST /v1/sweep; payload built by the same function as its body).
 	KindSweep = "sweep"
 	// KindArtifact builds one registry artifact as CSV (the async form of
-	// GET /v1/artifacts/{name}?format=csv, byte-identical to it).
+	// GET /v1/artifacts/{name}?format=csv, or with a workload of
+	// GET /v1/workloads/{workload}/artifacts/{name}?format=csv; payload
+	// built by the same function as their CSV bodies).
 	KindArtifact = "artifact"
 	// KindIngest runs one workload ingestion (the async form of
 	// POST /v1/workloads): materialize, replay, register.
 	KindIngest = "ingest"
 	// KindCharacterize characterizes one design point (Points[0]; the
-	// async form of POST /v1/characterize, byte-identical to it).
+	// async form of POST /v1/characterize; payload built by the same
+	// function as its body).
 	KindCharacterize = "characterize"
 	// KindEvaluate evaluates one (Points[0], Benchmarks[0]) cell (the
-	// async form of POST /v1/evaluate, byte-identical to it).
+	// async form of POST /v1/evaluate; payload built by the same function
+	// as its body).
 	KindEvaluate = "evaluate"
 	// KindDistill fits a compact generator spec to the Workload's stored
 	// trace (the async form of POST /v1/workloads/{name}/distill).
@@ -125,9 +132,37 @@ type Spec struct {
 	Ingest *ingest.Spec `json:"ingest,omitempty"`
 }
 
-// sweepGridLimit mirrors the synchronous endpoint's bound: a job is
-// long-running, not unbounded.
-const sweepGridLimit = 64
+// SweepGridLimit bounds a sweep's points and its benchmarks, for
+// POST /v1/sweep and sweep jobs alike: a request beyond it is a client
+// error, not a reason to let one grid monopolize the workers.
+const SweepGridLimit = 64
+
+// staticBenchmarks is the size of the static suite an empty sweep
+// benchmark list expands to.
+var staticBenchmarks = len(workload.StaticTraffic())
+
+// Cost is the spec's size in design-point evaluations, the unit tenant
+// budgets are charged in: one per grid cell for a sweep (all static
+// benchmarks when the list is empty), the points its renderer enumerates
+// for an artifact, one for everything request-sized. A sweep's cost is
+// also its job's progress total.
+func (sp Spec) Cost() int {
+	switch sp.Kind {
+	case KindSweep:
+		benches := len(sp.Benchmarks)
+		if benches == 0 {
+			benches = staticBenchmarks
+		}
+		return len(sp.Points) * benches
+	case KindArtifact:
+		// Already-cached characterizations make the real work cheaper,
+		// never dearer.
+		if n := len(coldtall.ArtifactPoints(sp.Artifact)); n > 0 {
+			return n
+		}
+	}
+	return 1
+}
 
 // ValidateWith checks the spec, resolving sweep points with the explorer's
 // parser and benchmark/workload names through resolve (the same paths the
@@ -139,8 +174,8 @@ func (sp Spec) ValidateWith(resolve func(string) (workload.Traffic, error)) erro
 		if len(sp.Points) == 0 {
 			return fmt.Errorf("job: sweep needs at least one design point")
 		}
-		if len(sp.Points) > sweepGridLimit || len(sp.Benchmarks) > sweepGridLimit {
-			return fmt.Errorf("job: sweep grid too large: at most %d points and %d benchmarks", sweepGridLimit, sweepGridLimit)
+		if len(sp.Points) > SweepGridLimit || len(sp.Benchmarks) > SweepGridLimit {
+			return fmt.Errorf("job: sweep grid too large: at most %d points and %d benchmarks", SweepGridLimit, SweepGridLimit)
 		}
 		for i, spec := range sp.Points {
 			if _, err := explorer.ParsePoint(spec); err != nil {

@@ -18,7 +18,6 @@ import (
 	"coldtall/internal/explorer"
 	"coldtall/internal/ingest"
 	"coldtall/internal/parallel"
-	"coldtall/internal/report"
 	"coldtall/internal/signature"
 	"coldtall/internal/store"
 	"coldtall/internal/workload"
@@ -66,14 +65,10 @@ type Options struct {
 	// Logger receives job lifecycle lines; nil discards them.
 	Logger *log.Logger
 	// MaxConcurrent bounds how many jobs run at once (default 2); the
-	// rest wait in the scheduler's queues. Each running job still fans
-	// its cells across the Workers pool.
+	// rest wait in the scheduler's queues, interactive jobs ahead of bulk
+	// with deficit-round-robin fair share across tenants. Each running job
+	// still fans its cells across the Workers pool.
 	MaxConcurrent int
-	// scheduler selects the dispatch policy: schedFair (default) runs
-	// interactive jobs ahead of bulk with deficit-round-robin fair share
-	// across tenants; schedFIFO dispatches in arrival order and is set
-	// only by the differential byte-identity test.
-	scheduler string
 	// TenantWeight resolves a tenant name to its fair-share weight for
 	// DRR dispatch; nil weights every tenant 1.
 	TenantWeight func(tenant string) float64
@@ -91,9 +86,6 @@ func (o Options) withDefaults() Options {
 	}
 	if o.MaxConcurrent == 0 {
 		o.MaxConcurrent = 2
-	}
-	if o.scheduler == "" {
-		o.scheduler = schedFair
 	}
 	return o
 }
@@ -173,7 +165,7 @@ func NewManager(study *coldtall.Study, opts Options) (*Manager, error) {
 		baseCtx:    ctx,
 		baseCancel: cancel,
 	}
-	m.sched = newScheduler(m.opts.scheduler, m.opts.MaxConcurrent, m.opts.TenantWeight)
+	m.sched = newScheduler(m.opts.MaxConcurrent, m.opts.TenantWeight)
 	m.evalCell = func(ctx context.Context, p explorer.DesignPoint, tr workload.Traffic) (explorer.Evaluation, error) {
 		return study.Explorer().EvaluateContext(ctx, p, tr)
 	}
@@ -270,11 +262,7 @@ func (m *Manager) newJob(id string, spec Spec) *Job {
 	total := 1
 	switch {
 	case spec.Kind == KindSweep:
-		benches := len(spec.Benchmarks)
-		if benches == 0 {
-			benches = len(workload.StaticTraffic())
-		}
-		total = len(spec.Points) * benches
+		total = spec.Cost()
 	case spec.Kind == KindIngest && spec.Ingest != nil && spec.Ingest.Generator != nil:
 		// Generator specs know their length up front; trace uploads learn
 		// theirs at the first progress report.
@@ -675,28 +663,43 @@ func (m *Manager) persist(j *Job) {
 	}
 }
 
-// run executes the job to a terminal state.
+// run executes the job to a terminal state. Each kind's runner returns
+// the result payload; run records it (in memory and in the store) and
+// completes the progress count before the done transition persists the
+// record.
 func (m *Manager) run(ctx context.Context, j *Job) {
 	m.transition(j, StateRunning)
+	var body []byte
 	var err error
+	ctype := "application/json"
 	switch j.spec.Kind {
 	case KindSweep:
-		err = m.runSweep(ctx, j)
+		body, err = m.runSweep(ctx, j)
 	case KindArtifact:
-		err = m.runArtifact(ctx, j)
+		body, err = m.runArtifact(ctx, j)
+		ctype = "text/csv; charset=utf-8"
 	case KindIngest:
-		err = m.runIngest(ctx, j)
+		body, err = m.runIngest(ctx, j)
 	case KindCharacterize:
-		err = m.runCharacterize(ctx, j)
+		body, err = m.runCharacterize(ctx, j)
 	case KindEvaluate:
-		err = m.runEvaluate(ctx, j)
+		body, err = m.runEvaluate(ctx, j)
 	case KindDistill:
-		err = m.runDistill(ctx, j)
+		body, err = m.runDistill(ctx, j)
 	default:
 		err = fmt.Errorf("job: unknown kind %q", j.spec.Kind)
 	}
 	switch {
 	case err == nil:
+		j.mu.Lock()
+		j.result, j.ctype = body, ctype
+		j.done = j.total
+		j.mu.Unlock()
+		if m.opts.Store != nil {
+			if err := m.opts.Store.Put(resultKey(j.id), body); err != nil {
+				m.logf("job %s: persist result: %v", j.id, err)
+			}
+		}
 		m.transition(j, StateDone)
 		m.logf("job %s: done", j.id)
 	case ctx.Err() != nil:
@@ -711,48 +714,20 @@ func (m *Manager) run(ctx context.Context, j *Job) {
 	}
 }
 
-// setResult records the payload before the done transition persists it.
-func (m *Manager) setResult(j *Job, body []byte, ctype string) {
-	j.mu.Lock()
-	j.result, j.ctype = body, ctype
-	j.mu.Unlock()
-	if m.opts.Store != nil {
-		if err := m.opts.Store.Put(resultKey(j.id), body); err != nil {
-			m.logf("job %s: persist result: %v", j.id, err)
-		}
-	}
-}
-
-// runArtifact builds one registry artifact as CSV through the exact
-// pipeline the synchronous endpoint uses (Study.ArtifactTable or, with a
-// restricting workload, RenderWorkloadArtifactCSV), so the async payload
-// is byte-identical to the synchronous response.
-func (m *Manager) runArtifact(ctx context.Context, j *Job) error {
+// runArtifact builds one registry artifact, restricted to the spec's
+// workload when it names one, and renders it through ArtifactCSV — the
+// encoder the synchronous CSV responses use.
+func (m *Manager) runArtifact(ctx context.Context, j *Job) ([]byte, error) {
 	if m.opts.Distributor != nil {
 		if err := m.distributeArtifactChars(ctx, j); err != nil {
-			return err
+			return nil, err
 		}
 	}
-	st := m.study.WithContext(ctx)
-	var b strings.Builder
-	if j.spec.Workload != "" {
-		if err := st.RenderWorkloadArtifactCSV(&b, j.spec.Artifact, j.spec.Workload); err != nil {
-			return err
-		}
-	} else {
-		t, err := st.ArtifactTable(j.spec.Artifact)
-		if err != nil {
-			return err
-		}
-		if err := t.RenderCSV(&b); err != nil {
-			return err
-		}
+	t, err := ArtifactTable(m.study.WithContext(ctx), j.spec.Artifact, j.spec.Workload)
+	if err != nil {
+		return nil, err
 	}
-	m.setResult(j, []byte(b.String()), "text/csv; charset=utf-8")
-	j.mu.Lock()
-	j.done = j.total
-	j.mu.Unlock()
-	return nil
+	return ArtifactCSV(t)
 }
 
 // runIngest executes one workload ingestion. Progress is reported in
@@ -760,7 +735,7 @@ func (m *Manager) runArtifact(ctx context.Context, j *Job) error {
 // steps) to subscribers per chunk; a restarted process re-runs the job
 // from its spec, which is safe because ingest.Run is idempotent.
 // The job's result payload is the ingest result JSON.
-func (m *Manager) runIngest(ctx context.Context, j *Job) error {
+func (m *Manager) runIngest(ctx context.Context, j *Job) ([]byte, error) {
 	res, err := ingest.Run(ctx, *j.spec.Ingest, ingest.Options{
 		Workloads:      m.opts.Workloads,
 		Store:          m.opts.Store,
@@ -775,20 +750,12 @@ func (m *Manager) runIngest(ctx context.Context, j *Job) error {
 		},
 	})
 	if err != nil {
-		return err
+		return nil, err
 	}
 	if m.opts.OnIngest != nil {
 		m.opts.OnIngest(res)
 	}
-	body, err := json.Marshal(res)
-	if err != nil {
-		return err
-	}
-	m.setResult(j, body, "application/json")
-	j.mu.Lock()
-	j.done = j.total
-	j.mu.Unlock()
-	return nil
+	return json.Marshal(res)
 }
 
 // runDistill fits a generator spec to the workload's stored trace. The
@@ -796,145 +763,45 @@ func (m *Manager) runIngest(ctx context.Context, j *Job) error {
 // re-derives the same spec from the persisted signature), so crashed
 // distill jobs can simply be re-run. The job's result payload is the
 // distill result JSON.
-func (m *Manager) runDistill(ctx context.Context, j *Job) error {
+func (m *Manager) runDistill(ctx context.Context, j *Job) ([]byte, error) {
 	res, err := distill.Run(ctx, j.spec.Workload, m.opts.Workloads, m.opts.Store, m.opts.Sigs, distill.Options{})
 	if err != nil {
-		return err
+		return nil, err
 	}
-	body, err := json.Marshal(res)
-	if err != nil {
-		return err
-	}
-	m.setResult(j, body, "application/json")
-	j.mu.Lock()
-	j.done = j.total
-	j.mu.Unlock()
-	return nil
-}
-
-// charRow mirrors the synchronous /v1/characterize response shape, so
-// the async form's payload is byte-identical to the endpoint's.
-type charRow struct {
-	Point                 string   `json:"point"`
-	Key                   string   `json:"key"`
-	Organization          string   `json:"organization"`
-	ReadLatencyS          float64  `json:"read_latency_s"`
-	WriteLatencyS         float64  `json:"write_latency_s"`
-	RandomCycleS          float64  `json:"random_cycle_s"`
-	ReadEnergyJ           float64  `json:"read_energy_j"`
-	WriteEnergyJ          float64  `json:"write_energy_j"`
-	LeakageW              float64  `json:"leakage_w"`
-	RefreshW              float64  `json:"refresh_w"`
-	RetentionS            *float64 `json:"retention_s"`
-	FootprintM2           float64  `json:"footprint_m2"`
-	TotalSiliconM2        float64  `json:"total_silicon_m2"`
-	ArrayEfficiency       float64  `json:"array_efficiency"`
-	BandwidthAccessesPerS float64  `json:"bandwidth_accesses_per_s"`
+	return json.Marshal(res)
 }
 
 // runCharacterize computes one design point's characterization — the
 // interactive job class's cheapest unit of work (one optimizer search,
 // warm from the shared explorer cache when the sync path already did it).
-func (m *Manager) runCharacterize(ctx context.Context, j *Job) error {
+func (m *Manager) runCharacterize(ctx context.Context, j *Job) ([]byte, error) {
 	p, err := explorer.ParsePoint(j.spec.Points[0])
 	if err != nil {
-		return err
+		return nil, err
 	}
 	res, err := m.study.Explorer().CharacterizeContext(ctx, p)
 	if err != nil {
-		return err
+		return nil, err
 	}
-	body, err := json.Marshal(charRow{
-		Point:                 p.Label,
-		Key:                   p.Key(),
-		Organization:          res.Org.String(),
-		ReadLatencyS:          res.ReadLatency,
-		WriteLatencyS:         res.WriteLatency,
-		RandomCycleS:          res.RandomCycle,
-		ReadEnergyJ:           res.ReadEnergy,
-		WriteEnergyJ:          res.WriteEnergy,
-		LeakageW:              res.LeakagePower,
-		RefreshW:              res.RefreshPower,
-		RetentionS:            report.FiniteOrNull(res.Retention),
-		FootprintM2:           res.FootprintM2,
-		TotalSiliconM2:        res.TotalSiliconM2,
-		ArrayEfficiency:       res.ArrayEfficiency,
-		BandwidthAccessesPerS: res.BandwidthAccesses,
-	})
-	if err != nil {
-		return err
-	}
-	m.setResult(j, body, "application/json")
-	j.mu.Lock()
-	j.done = j.total
-	j.mu.Unlock()
-	return nil
+	return CharacterizePayload(p, res)
 }
 
-// runEvaluate computes one (point, benchmark) cell, reusing the sweep
-// row DTO (it mirrors the synchronous /v1/evaluate response shape).
-func (m *Manager) runEvaluate(ctx context.Context, j *Job) error {
+// runEvaluate computes one (point, benchmark) cell with the per-cell
+// retry budget.
+func (m *Manager) runEvaluate(ctx context.Context, j *Job) ([]byte, error) {
 	p, err := explorer.ParsePoint(j.spec.Points[0])
 	if err != nil {
-		return err
+		return nil, err
 	}
 	tr, err := m.trafficFor(j.spec.Benchmarks[0])
 	if err != nil {
-		return err
+		return nil, err
 	}
 	ev, err := m.evalWithRetry(ctx, p, tr)
 	if err != nil {
-		return err
+		return nil, err
 	}
-	body, err := json.Marshal(rowDTO(ev))
-	if err != nil {
-		return err
-	}
-	m.setResult(j, body, "application/json")
-	j.mu.Lock()
-	j.done = j.total
-	j.mu.Unlock()
-	return nil
-}
-
-// sweepRow mirrors the synchronous /v1/sweep row shape.
-type sweepRow struct {
-	Point            string   `json:"point"`
-	Benchmark        string   `json:"benchmark"`
-	ReadsPerSec      float64  `json:"reads_per_sec"`
-	WritesPerSec     float64  `json:"writes_per_sec"`
-	DevicePowerW     float64  `json:"device_power_w"`
-	CoolingPowerW    float64  `json:"cooling_power_w"`
-	TotalPowerW      float64  `json:"total_power_w"`
-	AggregateLatency float64  `json:"aggregate_latency"`
-	Utilization      float64  `json:"utilization"`
-	ContentionFactor float64  `json:"contention_factor"`
-	Slowdown         bool     `json:"slowdown"`
-	LifetimeYears    *float64 `json:"lifetime_years"`
-}
-
-// sweepResult is the persisted JSON payload of a finished sweep job.
-type sweepResult struct {
-	Points     int        `json:"points"`
-	Benchmarks int        `json:"benchmarks"`
-	Rows       []sweepRow `json:"rows"`
-}
-
-func rowDTO(ev explorer.Evaluation) sweepRow {
-	return sweepRow{
-		Point:            ev.Point.Label,
-		Benchmark:        ev.Traffic.Benchmark,
-		ReadsPerSec:      ev.Traffic.ReadsPerSec,
-		WritesPerSec:     ev.Traffic.WritesPerSec,
-		DevicePowerW:     ev.DevicePower,
-		CoolingPowerW:    ev.CoolingPower,
-		TotalPowerW:      ev.TotalPower,
-		AggregateLatency: ev.AggregateLatency,
-		Utilization:      ev.Utilization,
-		ContentionFactor: ev.ContentionFactor,
-		Slowdown:         ev.Slowdown,
-		LifetimeYears:    report.FiniteOrNull(ev.LifetimeYears),
-	}
+	return EvaluatePayload(ev)
 }
 
 // runSweep evaluates the grid with per-cell checkpointing: each completed
@@ -942,12 +809,12 @@ func rowDTO(ev explorer.Evaluation) sweepRow {
 // point, benchmark) it belongs to, so a restarted job loads finished cells
 // and dispatches only the remainder. Cell failures retry with capped
 // exponential backoff before failing the job.
-func (m *Manager) runSweep(ctx context.Context, j *Job) error {
+func (m *Manager) runSweep(ctx context.Context, j *Job) ([]byte, error) {
 	points := make([]explorer.DesignPoint, len(j.spec.Points))
 	for i, spec := range j.spec.Points {
 		p, err := explorer.ParsePoint(spec)
 		if err != nil {
-			return fmt.Errorf("points[%d]: %w", i, err)
+			return nil, fmt.Errorf("points[%d]: %w", i, err)
 		}
 		points[i] = p
 	}
@@ -958,7 +825,7 @@ func (m *Manager) runSweep(ctx context.Context, j *Job) error {
 		for i, name := range j.spec.Benchmarks {
 			tr, err := m.trafficFor(name)
 			if err != nil {
-				return fmt.Errorf("benchmarks[%d]: %w", i, err)
+				return nil, fmt.Errorf("benchmarks[%d]: %w", i, err)
 			}
 			traffics = append(traffics, tr)
 		}
@@ -1013,7 +880,7 @@ func (m *Manager) runSweep(ctx context.Context, j *Job) error {
 				}
 			}
 		default:
-			return derr
+			return nil, derr
 		}
 	}
 	err := parallel.ForEachProgressContext(ctx, len(rest), m.opts.Workers, func(k int) error {
@@ -1035,19 +902,13 @@ func (m *Manager) runSweep(ctx context.Context, j *Job) error {
 		j.notify()
 	})
 	if err != nil {
-		return err
+		return nil, err
 	}
-
-	res := sweepResult{Points: len(points), Benchmarks: cols}
-	for _, ev := range evals {
-		res.Rows = append(res.Rows, rowDTO(ev))
+	grid := make([][]explorer.Evaluation, len(points))
+	for i := range grid {
+		grid[i] = evals[i*cols : (i+1)*cols]
 	}
-	body, err := json.Marshal(res)
-	if err != nil {
-		return err
-	}
-	m.setResult(j, body, "application/json")
-	return nil
+	return SweepPayload(grid)
 }
 
 // distributeCells hands a sweep's pending cells to the cluster

@@ -32,7 +32,7 @@ func pickAll(s *scheduler) []string {
 
 func TestSchedulerWeightedShare(t *testing.T) {
 	weights := map[string]float64{"alice": 4, "bob": 1}
-	s := newScheduler(schedFair, 1, func(name string) float64 { return weights[name] })
+	s := newScheduler(1, func(name string) float64 { return weights[name] })
 	// Equal-cost bulk jobs (one full 64-cell quantum each) from both
 	// tenants: a 4x weight must earn a 4:1 dispatch share.
 	for i := 0; i < 5; i++ {
@@ -52,7 +52,7 @@ func TestSchedulerWeightedShare(t *testing.T) {
 }
 
 func TestSchedulerInteractiveBeforeBulk(t *testing.T) {
-	s := newScheduler(schedFair, 1, nil)
+	s := newScheduler(1, nil)
 	bulk1 := qjob(KindSweep, "alice", 64)
 	inter := qjob(KindEvaluate, "alice", 1)
 	bulk2 := qjob(KindArtifact, "alice", 1)
@@ -73,7 +73,7 @@ func TestSchedulerInteractiveBeforeBulk(t *testing.T) {
 }
 
 func TestSchedulerSlotCapAndRemove(t *testing.T) {
-	s := newScheduler(schedFair, 1, nil)
+	s := newScheduler(1, nil)
 	a, b := qjob(KindSweep, "", 1), qjob(KindSweep, "", 1)
 	s.add(a)
 	s.add(b)
@@ -169,9 +169,11 @@ func TestInteractiveDequeuesAheadOfQueuedBulk(t *testing.T) {
 }
 
 // TestFairMatchesFIFOByteIdentical is the scheduler differential: the
-// same single-tenant submissions through FIFO and fair-share dispatch
-// must produce byte-identical results for every job — the scheduler may
-// reorder starts, never bytes.
+// same single-tenant submissions through fair-share dispatch must produce
+// byte-identical results to a FIFO reference for every job — the
+// scheduler may reorder starts, never bytes. The reference submits each
+// spec alone and waits for it before the next, which is FIFO order by
+// construction.
 func TestFairMatchesFIFOByteIdentical(t *testing.T) {
 	specs := []Spec{
 		{Kind: KindSweep, Points: []explorer.PointSpec{{Cell: "SRAM"}, {Cell: "SRAM", TemperatureK: 77}}, Benchmarks: []string{"namd"}},
@@ -179,29 +181,40 @@ func TestFairMatchesFIFOByteIdentical(t *testing.T) {
 		{Kind: KindEvaluate, Points: []explorer.PointSpec{{Cell: "SRAM"}}, Benchmarks: []string{"mcf"}},
 		{Kind: KindArtifact, Artifact: "table1"},
 	}
-	run := func(mode string) map[string][]byte {
-		m := newTestManager(t, Options{scheduler: mode, MaxConcurrent: 1})
-		out := map[string][]byte{}
-		var ids []string
-		for _, sp := range specs {
-			st, _, err := m.SubmitAs(sp, "", 0)
-			if err != nil {
-				t.Fatal(err)
-			}
-			ids = append(ids, st.ID)
+	result := func(m *Manager, id, mode string) []byte {
+		t.Helper()
+		waitDone(t, m, id)
+		body, _, ok := m.Result(id)
+		if !ok {
+			t.Fatalf("%s: no result in mode %s", id, mode)
 		}
-		for _, id := range ids {
-			waitDone(t, m, id)
-			body, _, ok := m.Result(id)
-			if !ok {
-				t.Fatalf("%s: no result in mode %s", id, mode)
-			}
-			out[id] = body
-		}
-		return out
+		return body
 	}
-	fifo := run(schedFIFO)
-	fair := run(schedFair)
+
+	fifo := map[string][]byte{}
+	ref := newTestManager(t, Options{MaxConcurrent: 1})
+	for _, sp := range specs {
+		st, _, err := ref.SubmitAs(sp, "", 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		fifo[st.ID] = result(ref, st.ID, "fifo")
+	}
+
+	fair := map[string][]byte{}
+	m := newTestManager(t, Options{MaxConcurrent: 1})
+	var ids []string
+	for _, sp := range specs {
+		st, _, err := m.SubmitAs(sp, "", 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ids = append(ids, st.ID)
+	}
+	for _, id := range ids {
+		fair[id] = result(m, id, "fair")
+	}
+
 	if len(fifo) != len(fair) {
 		t.Fatalf("job sets diverge: fifo %d, fair %d", len(fifo), len(fair))
 	}

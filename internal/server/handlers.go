@@ -11,13 +11,9 @@ import (
 	"coldtall"
 	"coldtall/internal/array"
 	"coldtall/internal/explorer"
-	"coldtall/internal/report"
+	"coldtall/internal/job"
 	"coldtall/internal/workload"
 )
-
-// sweepGridLimit bounds one sweep request's grid: requests beyond it are a
-// client error, not a reason to let a single call monopolize the pool.
-const sweepGridLimit = 64
 
 // handleHealthz answers liveness probes; a draining server reports 503 so
 // load balancers stop routing to it while in-flight requests finish.
@@ -61,51 +57,6 @@ func badRequest(w http.ResponseWriter, err error) {
 	http.Error(w, err.Error(), http.StatusBadRequest)
 }
 
-// finiteOrNull maps +Inf (the model's "does not apply" value — SRAM
-// retention, non-wearing lifetime) to a JSON null. The policy lives in
-// internal/report so JSON null and the CSV "+Inf" spelling always cover
-// exactly the same values.
-func finiteOrNull(v float64) *float64 { return report.FiniteOrNull(v) }
-
-// characterizeResponse is the wire form of an array characterization.
-type characterizeResponse struct {
-	Point                 string   `json:"point"`
-	Key                   string   `json:"key"`
-	Organization          string   `json:"organization"`
-	ReadLatencyS          float64  `json:"read_latency_s"`
-	WriteLatencyS         float64  `json:"write_latency_s"`
-	RandomCycleS          float64  `json:"random_cycle_s"`
-	ReadEnergyJ           float64  `json:"read_energy_j"`
-	WriteEnergyJ          float64  `json:"write_energy_j"`
-	LeakageW              float64  `json:"leakage_w"`
-	RefreshW              float64  `json:"refresh_w"`
-	RetentionS            *float64 `json:"retention_s"` // null when static
-	FootprintM2           float64  `json:"footprint_m2"`
-	TotalSiliconM2        float64  `json:"total_silicon_m2"`
-	ArrayEfficiency       float64  `json:"array_efficiency"`
-	BandwidthAccessesPerS float64  `json:"bandwidth_accesses_per_s"`
-}
-
-func characterizeDTO(p explorer.DesignPoint, r array.Result) characterizeResponse {
-	return characterizeResponse{
-		Point:                 p.Label,
-		Key:                   p.Key(),
-		Organization:          r.Org.String(),
-		ReadLatencyS:          r.ReadLatency,
-		WriteLatencyS:         r.WriteLatency,
-		RandomCycleS:          r.RandomCycle,
-		ReadEnergyJ:           r.ReadEnergy,
-		WriteEnergyJ:          r.WriteEnergy,
-		LeakageW:              r.LeakagePower,
-		RefreshW:              r.RefreshPower,
-		RetentionS:            finiteOrNull(r.Retention),
-		FootprintM2:           r.FootprintM2,
-		TotalSiliconM2:        r.TotalSiliconM2,
-		ArrayEfficiency:       r.ArrayEfficiency,
-		BandwidthAccessesPerS: r.BandwidthAccesses,
-	}
-}
-
 // handleCharacterize characterizes one design point: POST a PointSpec
 // ({"cell":"PCM","corner":"optimistic","dies":8,"temperature_k":350}).
 func (s *Server) handleCharacterize(w http.ResponseWriter, r *http.Request) {
@@ -124,7 +75,7 @@ func (s *Server) handleCharacterize(w http.ResponseWriter, r *http.Request) {
 		if err != nil {
 			return nil, err
 		}
-		return json.Marshal(characterizeDTO(p, res))
+		return job.CharacterizePayload(p, res)
 	})
 }
 
@@ -132,39 +83,6 @@ func (s *Server) handleCharacterize(w http.ResponseWriter, r *http.Request) {
 type evaluateRequest struct {
 	Point     explorer.PointSpec `json:"point"`
 	Benchmark string             `json:"benchmark"`
-}
-
-// evaluateResponse is the wire form of one (point, benchmark) evaluation.
-type evaluateResponse struct {
-	Point            string   `json:"point"`
-	Benchmark        string   `json:"benchmark"`
-	ReadsPerSec      float64  `json:"reads_per_sec"`
-	WritesPerSec     float64  `json:"writes_per_sec"`
-	DevicePowerW     float64  `json:"device_power_w"`
-	CoolingPowerW    float64  `json:"cooling_power_w"`
-	TotalPowerW      float64  `json:"total_power_w"`
-	AggregateLatency float64  `json:"aggregate_latency"`
-	Utilization      float64  `json:"utilization"`
-	ContentionFactor float64  `json:"contention_factor"`
-	Slowdown         bool     `json:"slowdown"`
-	LifetimeYears    *float64 `json:"lifetime_years"` // null when unbounded
-}
-
-func evaluateDTO(ev explorer.Evaluation) evaluateResponse {
-	return evaluateResponse{
-		Point:            ev.Point.Label,
-		Benchmark:        ev.Traffic.Benchmark,
-		ReadsPerSec:      ev.Traffic.ReadsPerSec,
-		WritesPerSec:     ev.Traffic.WritesPerSec,
-		DevicePowerW:     ev.DevicePower,
-		CoolingPowerW:    ev.CoolingPower,
-		TotalPowerW:      ev.TotalPower,
-		AggregateLatency: ev.AggregateLatency,
-		Utilization:      ev.Utilization,
-		ContentionFactor: ev.ContentionFactor,
-		Slowdown:         ev.Slowdown,
-		LifetimeYears:    finiteOrNull(ev.LifetimeYears),
-	}
 }
 
 // handleEvaluate evaluates one design point under one benchmark's traffic.
@@ -189,7 +107,7 @@ func (s *Server) handleEvaluate(w http.ResponseWriter, r *http.Request) {
 		if err != nil {
 			return nil, err
 		}
-		return json.Marshal(evaluateDTO(ev))
+		return job.EvaluatePayload(ev)
 	})
 }
 
@@ -198,14 +116,6 @@ func (s *Server) handleEvaluate(w http.ResponseWriter, r *http.Request) {
 type sweepRequest struct {
 	Points     []explorer.PointSpec `json:"points"`
 	Benchmarks []string             `json:"benchmarks,omitempty"`
-}
-
-// sweepResponse is the evaluated grid in row-major (point, benchmark)
-// order.
-type sweepResponse struct {
-	Points     int                `json:"points"`
-	Benchmarks int                `json:"benchmarks"`
-	Rows       []evaluateResponse `json:"rows"`
 }
 
 // handleSweep evaluates a points x benchmarks grid on the worker pool.
@@ -218,8 +128,8 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 		badRequest(w, fmt.Errorf("sweep needs at least one design point"))
 		return
 	}
-	if len(req.Points) > sweepGridLimit || len(req.Benchmarks) > sweepGridLimit {
-		badRequest(w, fmt.Errorf("sweep grid too large: at most %d points and %d benchmarks per request", sweepGridLimit, sweepGridLimit))
+	if len(req.Points) > job.SweepGridLimit || len(req.Benchmarks) > job.SweepGridLimit {
+		badRequest(w, fmt.Errorf("sweep grid too large: at most %d points and %d benchmarks per request", job.SweepGridLimit, job.SweepGridLimit))
 		return
 	}
 	points := make([]explorer.DesignPoint, len(req.Points))
@@ -249,18 +159,13 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 	key := "sweep|" + strings.Join(keys, ";")
-	s.serveCached(w, r, "application/json", key, len(points)*len(traffics), func(ctx context.Context) ([]byte, error) {
+	cost := job.Spec{Kind: job.KindSweep, Points: req.Points, Benchmarks: req.Benchmarks}.Cost()
+	s.serveCached(w, r, "application/json", key, cost, func(ctx context.Context) ([]byte, error) {
 		grid, err := s.study.Explorer().EvaluateAllContext(ctx, points, traffics)
 		if err != nil {
 			return nil, err
 		}
-		resp := sweepResponse{Points: len(points), Benchmarks: len(traffics)}
-		for _, row := range grid {
-			for _, ev := range row {
-				resp.Rows = append(resp.Rows, evaluateDTO(ev))
-			}
-		}
-		return json.Marshal(resp)
+		return job.SweepPayload(grid)
 	})
 }
 
@@ -391,12 +296,22 @@ func artifactFormat(r *http.Request) (string, error) {
 	}
 }
 
-// serveArtifact serves one registry artifact as JSON or CSV, built through
-// the same registry table the CLI's export writes — the two are always
-// byte-for-byte consistent. The cache key is per (artifact, format), so
-// the generic route and the figure/table aliases share cache entries.
-func (s *Server) serveArtifact(w http.ResponseWriter, r *http.Request, name string) {
+// serveArtifact serves one registry artifact as JSON or CSV, built
+// through the same registry table the CLI's export writes, so the two are
+// always byte-for-byte consistent. With a workload (a canonical registry
+// name) it serves the traffic-dependent artifact restricted to that
+// workload. The cache key is per (workload, artifact, format), so the
+// generic route and the figure/table aliases share cache entries, and an
+// alias shares its canonical workload's. Registry entries are never
+// mutated in place, so a cached rendering can never go stale against its
+// workload's traffic.
+func (s *Server) serveArtifact(w http.ResponseWriter, r *http.Request, name, workload string) {
 	d, ok := coldtall.Artifacts().Lookup(name)
+	if workload != "" && (!ok || !coldtall.IsTrafficArtifact(d.Name)) {
+		http.Error(w, fmt.Sprintf("artifact %q cannot be rendered per-workload (want one of %v)",
+			name, coldtall.TrafficArtifactNames()), http.StatusNotFound)
+		return
+	}
 	if !ok {
 		http.Error(w, fmt.Sprintf("unknown artifact %q (see GET /v1/artifacts for the catalog)", name), http.StatusNotFound)
 		return
@@ -410,18 +325,20 @@ func (s *Server) serveArtifact(w http.ResponseWriter, r *http.Request, name stri
 	if format == "csv" {
 		contentType = "text/csv; charset=utf-8"
 	}
-	key := "artifact|" + d.Name + "|" + format
-	s.serveCached(w, r, contentType, key, artifactCost(d.Name), func(ctx context.Context) ([]byte, error) {
-		t, err := s.study.WithContext(ctx).ArtifactTable(d.Name)
+	var key string
+	if workload == "" {
+		key = "artifact|" + d.Name + "|" + format
+	} else {
+		key = "workload-artifact|" + workload + "|" + d.Name + "|" + format
+	}
+	cost := job.Spec{Kind: job.KindArtifact, Artifact: d.Name}.Cost()
+	s.serveCached(w, r, contentType, key, cost, func(ctx context.Context) ([]byte, error) {
+		t, err := job.ArtifactTable(s.study.WithContext(ctx), d.Name, workload)
 		if err != nil {
 			return nil, err
 		}
 		if format == "csv" {
-			var b strings.Builder
-			if err := t.RenderCSV(&b); err != nil {
-				return nil, err
-			}
-			return []byte(b.String()), nil
+			return job.ArtifactCSV(t)
 		}
 		rows := t.JSONRows()
 		if rows == nil {
@@ -434,7 +351,7 @@ func (s *Server) serveArtifact(w http.ResponseWriter, r *http.Request, name stri
 // handleArtifactByName serves GET /v1/artifacts/{name}; name may be the
 // registry name ("fig1") or the export file name ("fig1.csv").
 func (s *Server) handleArtifactByName(w http.ResponseWriter, r *http.Request) {
-	s.serveArtifact(w, r, r.PathValue("name"))
+	s.serveArtifact(w, r, r.PathValue("name"), "")
 }
 
 // aliasNumbers lists the registry numbers behind a fig/table alias prefix,
@@ -466,5 +383,5 @@ func (s *Server) serveAlias(w http.ResponseWriter, r *http.Request, kind, prefix
 		http.Error(w, fmt.Sprintf("unknown %s %q (the paper has %ss %s)", kind, n, kind, aliasNumbers(prefix)), http.StatusNotFound)
 		return
 	}
-	s.serveArtifact(w, r, name)
+	s.serveArtifact(w, r, name, "")
 }

@@ -10,7 +10,6 @@ import (
 
 	"coldtall/internal/job"
 	"coldtall/internal/tenant"
-	"coldtall/internal/workload"
 )
 
 // jobListResponse enumerates one page of the job table.
@@ -31,24 +30,6 @@ func ownerName(t *tenant.Tenant) string {
 	return t.Name()
 }
 
-// jobCost estimates a job's price in design-point evaluations, the unit
-// tenant budgets are denominated in: one per grid cell for sweeps, the
-// rendered point count for artifacts, one for everything request-sized.
-func jobCost(spec job.Spec) int {
-	switch spec.Kind {
-	case job.KindSweep:
-		benches := len(spec.Benchmarks)
-		if benches == 0 {
-			benches = len(workload.StaticTraffic())
-		}
-		return len(spec.Points) * benches
-	case job.KindArtifact:
-		return artifactCost(spec.Artifact)
-	default:
-		return 1
-	}
-}
-
 // submitJob is the shared admission path for job-creating endpoints
 // (POST /v1/jobs, /v1/workloads, and the distill/chunk-complete routes):
 // tenant rate limit, budget charge, then quota-checked submission.
@@ -64,7 +45,7 @@ func (s *Server) submitJob(w http.ResponseWriter, r *http.Request, spec job.Spec
 		http.Error(w, "tenant rate limit exceeded, retry later", http.StatusTooManyRequests)
 		return false
 	}
-	cost := jobCost(spec)
+	cost := spec.Cost()
 	if ok, wait := t.ChargeEvals(cost); !ok {
 		s.met.shed.Inc()
 		s.met.tenantShed(t.Name()).Inc()

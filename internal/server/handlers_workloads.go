@@ -1,7 +1,6 @@
 package server
 
 import (
-	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -10,7 +9,6 @@ import (
 	"strconv"
 	"strings"
 
-	"coldtall"
 	"coldtall/internal/distill"
 	"coldtall/internal/ingest"
 	"coldtall/internal/job"
@@ -57,56 +55,18 @@ func (s *Server) handleWorkloadGet(w http.ResponseWriter, r *http.Request) {
 }
 
 // handleWorkloadArtifact renders one traffic-dependent artifact restricted
-// to one workload, through the exact same table-building path the async
-// artifact job uses — the two responses are byte-identical by
-// construction. Cached per (workload, artifact, format), with the name
-// resolved through at most one alias hop first: an alias and its canonical
-// workload carry identical traffic, so they share one cache entry and a
-// deduplicated upload costs zero additional sweep work. Registry entries
-// are never mutated in place, so a cached rendering can never go stale
-// against its workload's traffic.
+// to one workload through serveArtifact, whose CSV body the async artifact
+// job's payload shares. The name is resolved through at most one alias hop
+// first: an alias and its canonical workload carry identical traffic, so
+// they share one cache entry and a deduplicated upload costs zero
+// additional sweep work.
 func (s *Server) handleWorkloadArtifact(w http.ResponseWriter, r *http.Request) {
 	name := r.PathValue("name")
 	if _, ok := s.workloads.Lookup(name); !ok {
 		http.Error(w, fmt.Sprintf("unknown workload %q (see GET /v1/workloads for the catalog)", name), http.StatusNotFound)
 		return
 	}
-	canon := s.workloads.Canonical(name)
-	d, ok := coldtall.Artifacts().Lookup(r.PathValue("artifact"))
-	if !ok || !coldtall.IsTrafficArtifact(d.Name) {
-		http.Error(w, fmt.Sprintf("artifact %q cannot be rendered per-workload (want one of %v)",
-			r.PathValue("artifact"), coldtall.TrafficArtifactNames()), http.StatusNotFound)
-		return
-	}
-	format, err := artifactFormat(r)
-	if err != nil {
-		badRequest(w, err)
-		return
-	}
-	contentType := "application/json"
-	if format == "csv" {
-		contentType = "text/csv; charset=utf-8"
-	}
-	key := "workload-artifact|" + canon + "|" + d.Name + "|" + format
-	s.serveCached(w, r, contentType, key, artifactCost(d.Name), func(ctx context.Context) ([]byte, error) {
-		st := s.study.WithContext(ctx)
-		if format == "csv" {
-			var b strings.Builder
-			if err := st.RenderWorkloadArtifactCSV(&b, d.Name, canon); err != nil {
-				return nil, err
-			}
-			return []byte(b.String()), nil
-		}
-		t, err := st.WorkloadArtifactTable(d.Name, canon)
-		if err != nil {
-			return nil, err
-		}
-		rows := t.JSONRows()
-		if rows == nil {
-			rows = [][]any{}
-		}
-		return json.Marshal(artifactResponse{artifactInfo: artifactInfoDTO(d), Rows: rows})
-	})
+	s.serveArtifact(w, r, r.PathValue("artifact"), s.workloads.Canonical(name))
 }
 
 // signatureResponse is the wire form of a locality signature, with the

@@ -9,7 +9,6 @@ import (
 	"sync"
 	"time"
 
-	"coldtall"
 	"coldtall/internal/metrics"
 	"coldtall/internal/tenant"
 )
@@ -171,16 +170,6 @@ func setBudgetHeaders(w http.ResponseWriter, t *tenant.Tenant) {
 type errBudget struct{ wait time.Duration }
 
 func (e *errBudget) Error() string { return "server: tenant compute budget exhausted" }
-
-// artifactCost estimates an artifact build in design-point evaluations:
-// the points its renderer enumerates (already-cached characterizations
-// make the real work cheaper, never dearer).
-func artifactCost(name string) int {
-	if n := len(coldtall.ArtifactPoints(name)); n > 0 {
-		return n
-	}
-	return 1
-}
 
 // Per-tenant labeled series, lazily created like the per-path request
 // counters.

@@ -1,6 +1,7 @@
 #!/bin/sh
 # Reachability gate: every function and method declared in non-test files
-# under internal/ must be linked into at least one binary — the cmd/*
+# of the root package coldtall and of every package under internal/ must be
+# linked into at least one binary — the cmd/*
 # mains, the examples/* mains, or the coldbench harness. Each binary is
 # built with inlining off (-gcflags=all=-l) so every called function keeps
 # its own text symbol; `go tool nm` lists those symbols, and
@@ -29,15 +30,15 @@ done
 for bin in "$tmp"/bin* "$tmp/coldbench"; do
 	go tool nm "$bin"
 done | awk '$2 == "T" || $2 == "t" { sub(/^ *[0-9a-f]+ [Tt] /, ""); print }' |
-	grep '^coldtall/internal/' |
+	grep -E '^coldtall(/internal/|\.)' |
 	sed -e ':a' -e 's/\[[^][]*\]//g' -e 'ta' | sort -u >"$tmp/linked"
 
-go run ./scripts/declist -module coldtall ./internal | sort -u >"$tmp/declared"
+go run ./scripts/declist -module coldtall ./internal/... . | sort -u >"$tmp/declared"
 printf '%s\n' "$keep" | cut -f1 | sort -u >"$tmp/keep"
 
 comm -23 "$tmp/declared" "$tmp/linked" | comm -23 - "$tmp/keep" >"$tmp/dead"
 if [ -s "$tmp/dead" ]; then
-	echo "deadcheck: $(wc -l <"$tmp/dead") internal functions are linked into no binary:"
+	echo "deadcheck: $(wc -l <"$tmp/dead") functions are linked into no binary:"
 	cat "$tmp/dead"
 	exit 1
 fi
@@ -49,4 +50,4 @@ if [ -s "$tmp/stale" ]; then
 	cat "$tmp/stale"
 	exit 1
 fi
-echo "deadcheck OK: every internal function is linked into a binary ($(wc -l <"$tmp/declared") declared, $n+1 binaries)"
+echo "deadcheck OK: every root and internal function is linked into a binary ($(wc -l <"$tmp/declared") declared, $n+1 binaries)"

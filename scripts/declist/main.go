@@ -1,17 +1,21 @@
 // Command declist prints every function and method declared in the
-// non-test Go files under the given directories, one per line, named the
-// way `go tool nm` names the linked symbol with generic instantiation
+// non-test Go files of the given packages, one per line, named the way
+// `go tool nm` names the linked symbol with generic instantiation
 // brackets stripped:
 //
+//	coldtall.(*Study).ArtifactTable
 //	coldtall/internal/array.Characterize
 //	coldtall/internal/array.(*Config).feasible
 //	coldtall/internal/cache.(*Cache).Get
 //
+// Arguments follow the go command's package patterns: a directory ending
+// in "/..." lists it and every package below it; a plain directory lists
+// only its own package, so "." is the module root's package alone.
 // init functions are skipped: a package's initializers run whenever the
 // package is linked at all. scripts/deadcheck.sh diffs this list against
 // the symbols of every built binary.
 //
-//	go run ./scripts/declist -module coldtall ./internal
+//	go run ./scripts/declist -module coldtall ./internal/... .
 package main
 
 import (
@@ -29,22 +33,24 @@ import (
 func main() {
 	module := flag.String("module", "coldtall", "module path the directories are relative to")
 	flag.Parse()
-	for _, root := range flag.Args() {
-		if err := list(*module, root); err != nil {
+	for _, pattern := range flag.Args() {
+		if err := list(*module, pattern); err != nil {
 			fmt.Fprintln(os.Stderr, "declist:", err)
 			os.Exit(1)
 		}
 	}
 }
 
-// list walks root and prints the declarations of every non-test file.
-func list(module, root string) error {
+// list prints the declarations of every non-test file in the packages
+// pattern names.
+func list(module, pattern string) error {
+	root, recursive := strings.CutSuffix(pattern, "/...")
 	fset := token.NewFileSet()
 	return filepath.WalkDir(root, func(path string, d fs.DirEntry, err error) error {
 		if err != nil {
 			return err
 		}
-		if d.IsDir() && d.Name() == "testdata" {
+		if d.IsDir() && (d.Name() == "testdata" || (!recursive && path != root)) {
 			return filepath.SkipDir
 		}
 		if d.IsDir() || !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") {
@@ -54,7 +60,10 @@ func list(module, root string) error {
 		if err != nil {
 			return err
 		}
-		pkg := module + "/" + filepath.ToSlash(filepath.Clean(filepath.Dir(path)))
+		pkg := module
+		if dir := filepath.ToSlash(filepath.Clean(filepath.Dir(path))); dir != "." {
+			pkg += "/" + dir
+		}
 		for _, decl := range f.Decls {
 			fn, ok := decl.(*ast.FuncDecl)
 			if !ok || (fn.Recv == nil && fn.Name.Name == "init") {
