@@ -5,7 +5,7 @@
 
 GO ?= go
 
-.PHONY: build test check vet fmtcheck race servecheck jobcheck smoke artifactcheck tenantcheck tracecheck prunecheck clustercheck techcheck wlcheck deadcheck goldencheck fuzz vulncheck bench searchbench golden-update
+.PHONY: build test check vet fmtcheck race servecheck jobcheck smoke artifactcheck tenantcheck tracecheck prunecheck techcheck wlcheck deadcheck goldencheck fuzz vulncheck bench searchbench golden-update
 
 build:
 	$(GO) build ./...
@@ -81,17 +81,6 @@ tracecheck:
 # search code moves.
 prunecheck:
 	./scripts/prunecheck.sh
-
-# The distributed-execution gate: the cluster package (lease lifecycle,
-# consistent-hash ring, in-process differential byte-identity incl. the
-# kill-a-worker-mid-sweep scenario) under the race detector, then the
-# end-to-end script — coordinator + two workers over real HTTP running a
-# Table II job byte-diffed against a single-process server, repeated with
-# a mid-lease SIGKILL and a requeue.
-clustercheck:
-	$(GO) vet ./...
-	$(GO) test -race ./internal/cluster/... ./internal/server/...
-	./scripts/clustercheck.sh
 
 # Technology-backend gate: the gaincell/deepcryo/freqsweep artifacts
 # byte-compared between the CLI and a real serve over HTTP, plus the new

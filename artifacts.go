@@ -12,8 +12,11 @@ import (
 	"sync"
 
 	"coldtall/internal/artifact"
+	"coldtall/internal/cryo"
+	"coldtall/internal/explorer"
 	"coldtall/internal/report"
 	"coldtall/internal/signature"
+	"coldtall/internal/tech"
 	"coldtall/internal/workload"
 )
 
@@ -438,6 +441,52 @@ type ArtifactDescriptor = artifact.Descriptor[*Study]
 // Artifacts exposes the registry — the single source of truth the CLI, the
 // CSV export and the HTTP server all derive their artifact surfaces from.
 func Artifacts() *artifact.Registry[*Study] { return artifacts }
+
+// ArtifactPoints returns the design points an artifact's render path
+// characterizes, plus the 350 K SRAM baseline every artifact normalizes
+// against, deduplicated. Its length sizes an artifact request's charge
+// against a tenant's compute budget (Spec.Cost in internal/job); it never
+// affects results. Artifacts without an enumerable grid return nil and are
+// charged one evaluation.
+func ArtifactPoints(name string) []explorer.DesignPoint {
+	var pts []explorer.DesignPoint
+	switch name {
+	case "fig1":
+		for _, t := range cryo.EffectiveTemperatures() {
+			pts = append(pts, explorer.SRAMAt(t))
+		}
+	case "fig3", "fig4":
+		pts = explorer.CryoSweep(cryo.EffectiveTemperatures())
+	case "fig5":
+		pts = fig5Points()
+	case "fig6", "fig7":
+		envm, err := explorer.ENVMSweep()
+		if err != nil {
+			return nil
+		}
+		pts = envm
+	case "table2":
+		cands, err := explorer.TableIICandidates()
+		if err != nil {
+			return nil
+		}
+		pts = cands
+	case "cooling":
+		pts = []explorer.DesignPoint{explorer.EDRAMAt(tech.TempCryo77)}
+	default:
+		return nil
+	}
+	pts = append(pts, explorer.Baseline())
+	seen := make(map[string]bool, len(pts))
+	out := pts[:0]
+	for _, p := range pts {
+		if k := p.Key(); !seen[k] {
+			seen[k] = true
+			out = append(out, p)
+		}
+	}
+	return out
+}
 
 // ArtifactTable builds one artifact by registry name or file name and
 // returns it as a schema-carrying table — the writer-agnostic form Export,

@@ -38,8 +38,6 @@
 //	coldtall export -dir out
 //	coldtall serve -addr :8080       # HTTP DSE service (see internal/server)
 //	coldtall serve -store-dir /var/coldtall  # + persistent store, warm restarts
-//	coldtall serve -coordinator      # + distributed execution coordinator
-//	coldtall worker -server http://host:8080  # stateless cluster worker replica
 //
 // Async jobs (against a running serve instance):
 //
@@ -138,15 +136,9 @@ func run(ctx context.Context, args []string, w io.Writer) error {
 	storeDir := fs.String("store-dir", "", "serve: persistent result-store directory (empty = in-memory only)")
 	jobWorkers := fs.Int("job-workers", 0, "serve: async job worker pool size (0 = one per CPU)")
 	jobConcurrency := fs.Int("job-concurrency", 0, "serve: async jobs executing at once (0 = default 2); excess queues by priority and fair share")
-	serverURL := fs.String("server", "http://localhost:8080", "jobs/worker: base URL of a running serve instance")
-	poll := fs.Duration("poll", 250*time.Millisecond, "jobs wait / worker: status or lease poll interval")
+	serverURL := fs.String("server", "http://localhost:8080", "jobs/workloads: base URL of a running serve instance")
+	poll := fs.Duration("poll", 250*time.Millisecond, "jobs wait, workloads add/distill: job status poll interval")
 	format := fs.String("format", "table", "artifacts: output format (table, csv)")
-	coordinator := fs.Bool("coordinator", false, "serve: enable the distributed-execution coordinator (/v1/cluster routes)")
-	workerToken := fs.String("worker-token", "", "serve/worker: shared auth token for the /v1/cluster surface")
-	leaseTTL := fs.Duration("lease-ttl", 0, "serve: coordinator lease TTL before expiry+requeue (0 = default 30s)")
-	leaseUnits := fs.Int("lease-units", 0, "serve: max grid points per lease (0 = auto: whole families on one core)")
-	workerName := fs.String("name", "", "worker: stable display name reported to the coordinator")
-	throttle := fs.Duration("throttle", 0, "worker: sleep before each unit evaluation (testing/demo)")
 	tenantsFile := fs.String("tenants", "", "serve: tenant config file with API keys, limits and weights (SIGHUP reloads)")
 	defaultQuota := fs.Int64("default-quota", 0, "serve: default per-tenant compute budget in design-point evaluations per window (0 = unlimited)")
 	apiKey := fs.String("api-key", "", "jobs/workloads: tenant API key, sent as a bearer token")
@@ -156,7 +148,7 @@ func run(ctx context.Context, args []string, w io.Writer) error {
 
 	if len(args) == 0 {
 		fs.Usage()
-		return fmt.Errorf("missing subcommand (%s, exclusions, impact, nodes, survey, thermal, traffic, verify, artifacts, eval, export, sweep, pareto, serve, worker, jobs, workloads, openapi, all)",
+		return fmt.Errorf("missing subcommand (%s, exclusions, impact, nodes, survey, thermal, traffic, verify, artifacts, eval, export, sweep, pareto, serve, jobs, workloads, openapi, all)",
 			strings.Join(coldtall.Artifacts().Names(), ", "))
 	}
 	cmd := args[0]
@@ -185,9 +177,6 @@ func run(ctx context.Context, args []string, w io.Writer) error {
 		storeDir: *storeDir, jobWorkers: *jobWorkers, jobConcurrency: *jobConcurrency,
 		server: *serverURL, poll: *poll,
 		format: *format, args: positional(fs.Args()),
-		coordinator: *coordinator, workerToken: *workerToken,
-		leaseTTL: *leaseTTL, leaseUnits: *leaseUnits,
-		workerName: *workerName, throttle: *throttle,
 		tenantsFile: *tenantsFile, defaultQuota: *defaultQuota,
 		apiKey: *apiKey, jobState: *jobState, jobLimit: *jobLimit, jobCursor: *jobCursor,
 	}); err != nil {
@@ -217,12 +206,6 @@ type cliFlags struct {
 	server             string
 	poll               time.Duration
 	format             string
-	coordinator        bool
-	workerToken        string
-	leaseTTL           time.Duration
-	leaseUnits         int
-	workerName         string
-	throttle           time.Duration
 	tenantsFile        string
 	defaultQuota       int64
 	apiKey             string
@@ -297,8 +280,6 @@ func dispatch(ctx context.Context, cmd string, study *coldtall.Study, w io.Write
 		// `make artifactcheck` compares the two, so drift is impossible.
 		_, err := w.Write(server.OpenAPIJSON())
 		return err
-	case "worker":
-		return runClusterWorker(ctx, w, f)
 	case "jobs":
 		return runJobs(ctx, w, f)
 	case "workloads":
@@ -382,10 +363,6 @@ func serveHTTP(ctx context.Context, study *coldtall.Study, w io.Writer, f cliFla
 		StoreDir:       f.storeDir,
 		JobWorkers:     f.jobWorkers,
 		JobConcurrency: f.jobConcurrency,
-		Coordinator:    f.coordinator,
-		WorkerToken:    f.workerToken,
-		LeaseTTL:       f.leaseTTL,
-		LeaseUnits:     f.leaseUnits,
 		TenantsFile:    f.tenantsFile,
 		DefaultQuota:   f.defaultQuota,
 	})
@@ -409,9 +386,6 @@ func serveHTTP(ctx context.Context, study *coldtall.Study, w io.Writer, f cliFla
 			}
 		}()
 		fmt.Fprintf(w, "tenancy enabled from %s (SIGHUP to reload)\n", f.tenantsFile)
-	}
-	if f.coordinator {
-		fmt.Fprintf(w, "coordinator enabled: workers pull leases from %s/v1/cluster\n", f.addr)
 	}
 	if f.storeDir != "" {
 		fmt.Fprintf(w, "serving the DSE API on %s, persisting to %s (SIGINT/SIGTERM to drain)\n", f.addr, f.storeDir)

@@ -182,7 +182,7 @@ func (s *Study) Fig5() ([]TrafficRow, error) {
 }
 
 // fig5Points is the Fig. 5 design-point set (volatile cells at both
-// operating temperatures), shared with the distributed grid planner.
+// operating temperatures), shared with ArtifactPoints.
 func fig5Points() []explorer.DesignPoint {
 	return []explorer.DesignPoint{
 		explorer.SRAMAt(tech.TempHot350), explorer.EDRAMAt(tech.TempHot350),

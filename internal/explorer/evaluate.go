@@ -87,8 +87,7 @@ type charState struct {
 	// the search is deterministic, so the bytes are the same either way.
 	cache *parallel.Memo[string, array.Result]
 
-	// mu guards persist and makes SeedCharacterization's check-and-fill
-	// atomic.
+	// mu guards persist.
 	mu sync.Mutex
 
 	// flight deduplicates in-flight characterizations so the expensive
@@ -243,47 +242,6 @@ func (e *Explorer) CharacterizeContext(ctx context.Context, p DesignPoint) (arra
 // production gauge for cache effectiveness.
 func (e *Explorer) OptimizeCalls() int64 { return e.chars.optimizeCalls.Load() }
 
-// CachedCharacterization reports whether the point's characterization is
-// already available without running the optimizer: in the in-process cache
-// or (when persistence is attached) in the persistent store. A persistence
-// hit is promoted into the cache. It never computes.
-func (e *Explorer) CachedCharacterization(p DesignPoint) (array.Result, bool) {
-	key := p.Key()
-	cs := e.chars
-	if r, ok := cs.cache.Get(key); ok {
-		return r, true
-	}
-	if persist := cs.store(); persist != nil {
-		if r, ok := persist.Load(key); ok {
-			cs.cache.Put(key, r)
-			return r, true
-		}
-	}
-	return array.Result{}, false
-}
-
-// SeedCharacterization installs an externally computed characterization
-// for a point, filling the in-process cache and writing through the
-// persistence hook exactly as CharacterizeContext would have. The cluster
-// layer uses it to land worker-computed results: array.OptimizeContext is
-// deterministic (the pruned/exhaustive differential pins this), so a
-// seeded result is identical to what a local computation would produce and
-// every artifact rendered from it stays byte-identical.
-func (e *Explorer) SeedCharacterization(p DesignPoint, r array.Result) {
-	key := p.Key()
-	cs := e.chars
-	cs.mu.Lock()
-	_, had := cs.cache.Get(key)
-	if !had {
-		cs.cache.Put(key, r)
-	}
-	persist := cs.persist
-	cs.mu.Unlock()
-	if !had && persist != nil {
-		persist.Save(key, r)
-	}
-}
-
 // Evaluate computes the application-level metrics of one design point under
 // one benchmark's traffic, following the paper's methodology: total LLC
 // power is leakage plus refresh plus rate-weighted access energy, cooling
@@ -421,7 +379,7 @@ func (e *Explorer) WarmFamiliesContext(ctx context.Context, points []DesignPoint
 	seen := make(map[string]bool, len(points))
 	var reps []DesignPoint
 	for _, p := range points {
-		k := sweepFamilyKey(p)
+		k := familyKey(p)
 		if !seen[k] {
 			seen[k] = true
 			reps = append(reps, p)
@@ -433,33 +391,28 @@ func (e *Explorer) WarmFamiliesContext(ctx context.Context, points []DesignPoint
 	})
 }
 
-// FamilyKey groups design points that differ only along the delta axes of
+// familyKey groups design points that differ only along the delta axes of
 // the array search — temperature and die count. It deliberately mirrors
 // the family key of the array package's ranking memo: solving one member
-// seeds the organization ordering for the rest. The sweep scheduler walks
-// families contiguously, and the cluster coordinator leases whole families
-// to one worker so every replica's rankingMemo warm-starts stay effective.
-func FamilyKey(p DesignPoint) string {
+// seeds the organization ordering for the rest, so the sweep scheduler
+// walks families contiguously.
+func familyKey(p DesignPoint) string {
 	return fmt.Sprintf("%s|%v|%d|%s|%v", p.Cell.Name, p.Cell.Tech, p.Capacity(), p.Node.Name, p.Style)
 }
 
-// sweepFamilyKey is the historical unexported spelling.
-func sweepFamilyKey(p DesignPoint) string { return FamilyKey(p) }
-
-// FamilyOrder returns a permutation of point indices that walks each
+// familyOrder returns a permutation of point indices that walks each
 // characterization family contiguously, members ordered by (dies,
 // temperature) so consecutive positions are neighboring design points. It
-// is the schedule both the in-process sweep (sweepOrder) and the cluster
-// coordinator's lease decomposition dispatch in: the array layer's pruned
-// search then re-verifies a warm ranking instead of cold-starting per
-// point. Only ORDER is defined here — callers still land results at input
-// positions, so outputs stay byte-identical to the naive walk.
-func FamilyOrder(points []DesignPoint) []int {
+// is the schedule the sweep (sweepOrder) dispatches in: the array layer's
+// pruned search then re-verifies a warm ranking instead of cold-starting
+// per point. Only ORDER is defined here — callers still land results at
+// input positions, so outputs stay byte-identical to the naive walk.
+func familyOrder(points []DesignPoint) []int {
 	type member struct{ point, seq int }
 	families := make(map[string][]member)
 	var keys []string
 	for i, p := range points {
-		k := FamilyKey(p)
+		k := familyKey(p)
 		if _, seen := families[k]; !seen {
 			keys = append(keys, k)
 		}
@@ -485,13 +438,13 @@ func FamilyOrder(points []DesignPoint) []int {
 	return order
 }
 
-// sweepOrder expands FamilyOrder over the points×traffics grid: each
+// sweepOrder expands familyOrder over the points×traffics grid: each
 // point's cells dispatch contiguously in benchmark order within the
 // family-contiguous point walk. Only dispatch ORDER changes: every cell
 // still lands at its input position, so the output grid — and every golden
 // artifact derived from it — is byte-identical to the naive walk.
 func sweepOrder(points []DesignPoint, cols int) []int {
-	po := FamilyOrder(points)
+	po := familyOrder(points)
 	order := make([]int, 0, len(points)*cols)
 	for _, i := range po {
 		for j := 0; j < cols; j++ {

@@ -62,7 +62,7 @@ func TestSweepOrderGroupsFamilies(t *testing.T) {
 	var lastPoint *DesignPoint
 	for _, c := range order {
 		p := pts[c/cols]
-		k := sweepFamilyKey(p)
+		k := familyKey(p)
 		if k != last {
 			if seenFamily[k] {
 				t.Fatalf("family %q dispatched non-contiguously", k)

@@ -149,7 +149,7 @@ func TestCharacterizationCacheBounded(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 1; i < 10_000; i++ {
-		e.SeedCharacterization(point(i), want)
+		e.chars.cache.Put(point(i).Key(), want)
 		if n := e.chars.cache.Len(); n > 2*charCacheSize {
 			t.Fatalf("after %d points the cache holds %d entries, bound %d", i+1, n, 2*charCacheSize)
 		}

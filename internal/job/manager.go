@@ -13,7 +13,6 @@ import (
 	"time"
 
 	"coldtall"
-	"coldtall/internal/array"
 	"coldtall/internal/distill"
 	"coldtall/internal/explorer"
 	"coldtall/internal/ingest"
@@ -49,13 +48,6 @@ type Options struct {
 	// DedupThreshold tunes ingest near-duplicate detection
 	// (ingest.Options.DedupThreshold semantics: 0 = default, < 0 = off).
 	DedupThreshold float64
-	// Distributor, when set, fans sweep cells and artifact
-	// characterizations out to cluster workers instead of the in-process
-	// pool (the coordinator wires itself in here). ErrNoWorkers from it
-	// falls back to local computation; distributed results land through
-	// the same checkpoint and render paths, so payloads are byte-identical
-	// either way.
-	Distributor Distributor
 	// OnTransition, when set, observes every state change (the metrics
 	// layer feeds job counters from it). Called outside the job lock.
 	OnTransition func(id string, from, to State)
@@ -718,11 +710,6 @@ func (m *Manager) run(ctx context.Context, j *Job) {
 // workload when it names one, and renders it through ArtifactCSV — the
 // encoder the synchronous CSV responses use.
 func (m *Manager) runArtifact(ctx context.Context, j *Job) ([]byte, error) {
-	if m.opts.Distributor != nil {
-		if err := m.distributeArtifactChars(ctx, j); err != nil {
-			return nil, err
-		}
-	}
 	t, err := ArtifactTable(m.study.WithContext(ctx), j.spec.Artifact, j.spec.Workload)
 	if err != nil {
 		return nil, err
@@ -857,34 +844,12 @@ func (m *Manager) runSweep(ctx context.Context, j *Job) ([]byte, error) {
 		m.logf("job %s: restored %d/%d cells from checkpoints", j.id, restored, n)
 	}
 
-	// Phase 2: compute the remainder — through the cluster distributor
-	// when one is configured, on the in-process pool otherwise (or as the
-	// fallback when the cluster has no workers). Both paths checkpoint
-	// each cell as it lands and report progress per completed cell, and
-	// both land results at the cells' input positions, so the marshalled
-	// payload is byte-identical regardless of where cells computed.
-	rest, doneBase := pending, restored
-	if m.opts.Distributor != nil && len(pending) > 0 {
-		landed, derr := m.distributeCells(ctx, j, points, traffics, cols, pending, evals, restored)
-		switch {
-		case derr == nil:
-			rest = nil
-		case errors.Is(derr, ErrNoWorkers):
-			m.logf("job %s: cluster unavailable (%v); computing locally", j.id, derr)
-			rest = rest[:0]
-			for k, cell := range pending {
-				if landed[k] {
-					doneBase++
-				} else {
-					rest = append(rest, cell)
-				}
-			}
-		default:
-			return nil, derr
-		}
-	}
-	err := parallel.ForEachProgressContext(ctx, len(rest), m.opts.Workers, func(k int) error {
-		cell := rest[k]
+	// Phase 2: compute the remainder on the in-process pool. Each cell is
+	// checkpointed as it lands and reports progress when it completes, and
+	// results land at the cells' input positions, so the marshalled payload
+	// is byte-identical however the pool schedules the cells.
+	err := parallel.ForEachProgressContext(ctx, len(pending), m.opts.Workers, func(k int) error {
+		cell := pending[k]
 		i, jx := cell/cols, cell%cols
 		ev, err := m.evalWithRetry(ctx, points[i], traffics[jx])
 		if err != nil {
@@ -895,8 +860,8 @@ func (m *Manager) runSweep(ctx context.Context, j *Job) ([]byte, error) {
 		return nil
 	}, func(done int) {
 		j.mu.Lock()
-		if doneBase+done > j.done {
-			j.done = doneBase + done
+		if restored+done > j.done {
+			j.done = restored + done
 		}
 		j.mu.Unlock()
 		j.notify()
@@ -911,79 +876,6 @@ func (m *Manager) runSweep(ctx context.Context, j *Job) ([]byte, error) {
 	return SweepPayload(grid)
 }
 
-// distributeCells hands a sweep's pending cells to the cluster
-// distributor in input order (the coordinator re-derives the
-// family-contiguous lease schedule itself). Each landed evaluation is
-// written to its grid position and checkpointed immediately, so partial
-// progress before a distribution error survives into the local fallback
-// or a later resume. Returns which pending indices landed.
-func (m *Manager) distributeCells(ctx context.Context, j *Job, points []explorer.DesignPoint, traffics []workload.Traffic, cols int, pending []int, evals []explorer.Evaluation, restored int) ([]bool, error) {
-	cells := make([]DistCell, len(pending))
-	for k, cell := range pending {
-		cells[k] = DistCell{Point: points[cell/cols], Traffic: traffics[cell%cols]}
-	}
-	landed := make([]bool, len(pending))
-	var mu sync.Mutex
-	count := 0
-	err := m.opts.Distributor.DistributeCells(ctx, j.id, cells, func(k int, ev explorer.Evaluation) {
-		cell := pending[k]
-		i, jx := cell/cols, cell%cols
-		mu.Lock()
-		evals[cell] = ev
-		landed[k] = true
-		count++
-		done := restored + count
-		mu.Unlock()
-		m.saveCell(j.id, points[i], traffics[jx], ev)
-		j.mu.Lock()
-		if done > j.done {
-			j.done = done
-		}
-		j.mu.Unlock()
-		j.notify()
-	})
-	return landed, err
-}
-
-// distributeArtifactChars fans an artifact's enumerable design points out
-// to the cluster for characterization before the local render. Worker
-// results seed the explorer cache (and its persistence hook), so the
-// render that follows finds every characterization warm and produces
-// byte-identical output with zero local optimizer calls. An empty cluster
-// (ErrNoWorkers) is not an error — the render just computes locally.
-func (m *Manager) distributeArtifactChars(ctx context.Context, j *Job) error {
-	pts := coldtall.ArtifactPoints(j.spec.Artifact)
-	exp := m.study.Explorer()
-	var missing []explorer.DesignPoint
-	for _, p := range pts {
-		if _, ok := exp.CachedCharacterization(p); !ok {
-			missing = append(missing, p)
-		}
-	}
-	if len(missing) == 0 {
-		return nil
-	}
-	j.mu.Lock()
-	j.total = len(missing) + 1 // characterizations plus the final render
-	j.mu.Unlock()
-	j.notify()
-	err := m.opts.Distributor.DistributeChars(ctx, j.id, missing, func(i int, r array.Result) {
-		exp.SeedCharacterization(missing[i], r)
-		j.mu.Lock()
-		j.done++
-		j.mu.Unlock()
-		j.notify()
-	})
-	if err != nil {
-		if errors.Is(err, ErrNoWorkers) {
-			m.logf("job %s: cluster unavailable (%v); characterizing locally", j.id, err)
-			return nil
-		}
-		return err
-	}
-	return nil
-}
-
 // evalWithRetry runs one cell with the attempt budget: transient failures
 // back off exponentially (capped), cancellation aborts immediately.
 func (m *Manager) evalWithRetry(ctx context.Context, p explorer.DesignPoint, tr workload.Traffic) (explorer.Evaluation, error) {
@@ -991,7 +883,7 @@ func (m *Manager) evalWithRetry(ctx context.Context, p explorer.DesignPoint, tr 
 	var err error
 	for attempt := 1; attempt <= m.opts.MaxAttempts; attempt++ {
 		if attempt > 1 {
-			t := time.NewTimer(Backoff(attempt-1, m.opts.BackoffBase, m.opts.BackoffMax))
+			t := time.NewTimer(backoff(attempt-1, m.opts.BackoffBase, m.opts.BackoffMax))
 			select {
 			case <-ctx.Done():
 				t.Stop()
@@ -1007,6 +899,23 @@ func (m *Manager) evalWithRetry(ctx context.Context, p explorer.DesignPoint, tr 
 		}
 	}
 	return ev, fmt.Errorf("job: cell %s/%s failed after %d attempts: %w", p.Label, tr.Benchmark, m.opts.MaxAttempts, err)
+}
+
+// backoff is evalWithRetry's capped exponential retry schedule: base
+// doubling per completed attempt, never above max. attempt counts
+// completed failures (attempt 1 waits base).
+func backoff(attempt int, base, max time.Duration) time.Duration {
+	d := base
+	for i := 1; i < attempt; i++ {
+		d *= 2
+		if d >= max {
+			return max
+		}
+	}
+	if d > max {
+		return max
+	}
+	return d
 }
 
 // loadCell restores one checkpointed evaluation; a missing or undecodable

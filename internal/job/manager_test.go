@@ -198,11 +198,11 @@ func TestBackoffDelayCaps(t *testing.T) {
 	base, max := 25*time.Millisecond, time.Second
 	want := []time.Duration{base, 50 * time.Millisecond, 100 * time.Millisecond}
 	for i, w := range want {
-		if got := Backoff(i+1, base, max); got != w {
-			t.Errorf("Backoff(%d) = %v, want %v", i+1, got, w)
+		if got := backoff(i+1, base, max); got != w {
+			t.Errorf("backoff(%d) = %v, want %v", i+1, got, w)
 		}
 	}
-	if got := Backoff(30, base, max); got != max {
+	if got := backoff(30, base, max); got != max {
 		t.Errorf("deep attempt = %v, want the %v cap", got, max)
 	}
 }

@@ -59,18 +59,6 @@ func (g *Gauge) Dec() { g.v.Add(-1) }
 // Value returns the current value.
 func (g *Gauge) Value() int64 { return g.v.Load() }
 
-// FGauge is a float-valued gauge for derived rates (per-worker points per
-// second) that an integer Gauge would truncate to zero.
-type FGauge struct {
-	v atomic.Uint64 // float64 bits
-}
-
-// Set replaces the value.
-func (g *FGauge) Set(v float64) { g.v.Store(math.Float64bits(v)) }
-
-// Value returns the current value.
-func (g *FGauge) Value() float64 { return math.Float64frombits(g.v.Load()) }
-
 // Histogram counts observations into cumulative buckets by upper bound,
 // Prometheus-style: bucket i counts observations <= bounds[i], plus an
 // implicit +Inf bucket, a running sum, and a total count. Observe is
@@ -114,20 +102,10 @@ func DefBuckets() []float64 {
 type metric struct {
 	name string // full series name, possibly with {labels}
 	help string
-	kind string // "counter", "gauge", "fgauge", "histogram"
+	kind string // "counter", "gauge", "histogram"
 	c    *Counter
 	g    *Gauge
-	fg   *FGauge
 	h    *Histogram
-}
-
-// typeName maps the internal kind to the exposition TYPE keyword (an
-// FGauge is still a Prometheus gauge).
-func typeName(kind string) string {
-	if kind == "fgauge" {
-		return "gauge"
-	}
-	return kind
 }
 
 // baseName strips a label suffix: `requests_total{code="200"}` ->
@@ -183,12 +161,6 @@ func (r *Registry) Gauge(name, help string) *Gauge {
 	return r.lookup(name, help, "gauge", func() *metric { return &metric{g: &Gauge{}} }).g
 }
 
-// FGauge returns the float gauge registered under name, creating it on
-// first use.
-func (r *Registry) FGauge(name, help string) *FGauge {
-	return r.lookup(name, help, "fgauge", func() *metric { return &metric{fg: &FGauge{}} }).fg
-}
-
 // Histogram returns the histogram registered under name, creating it on
 // first use with the given upper bounds (ascending; DefBuckets when nil).
 // Histogram names must not carry labels — the buckets are the labels.
@@ -231,7 +203,7 @@ func (r *Registry) WritePrometheus(w io.Writer) error {
 		base := baseName(m.name)
 		if !seen[base] {
 			seen[base] = true
-			if _, err := fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s %s\n", base, m.help, base, typeName(m.kind)); err != nil {
+			if _, err := fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s %s\n", base, m.help, base, m.kind); err != nil {
 				return err
 			}
 		}
@@ -242,10 +214,6 @@ func (r *Registry) WritePrometheus(w io.Writer) error {
 			}
 		case "gauge":
 			if _, err := fmt.Fprintf(w, "%s %d\n", m.name, m.g.Value()); err != nil {
-				return err
-			}
-		case "fgauge":
-			if _, err := fmt.Fprintf(w, "%s %g\n", m.name, m.fg.Value()); err != nil {
 				return err
 			}
 		case "histogram":

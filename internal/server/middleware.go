@@ -5,7 +5,6 @@ import (
 	"errors"
 	"net/http"
 	"runtime/debug"
-	"strings"
 	"time"
 )
 
@@ -82,17 +81,11 @@ func (s *Server) observe(next http.Handler) http.Handler {
 }
 
 // limitBody caps request bodies at MaxBodyBytes; decoding an oversized body
-// surfaces *http.MaxBytesError, which the handlers map to 413. The cluster
-// surface gets a higher floor: a lease ack legitimately carries one gob
-// result per unit, which outgrows the 1 MiB default on large leases.
+// surfaces *http.MaxBytesError, which the handlers map to 413.
 func (s *Server) limitBody(next http.Handler) http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		limit := s.cfg.MaxBodyBytes
-		if s.coord != nil && strings.HasPrefix(r.URL.Path, "/v1/cluster/") && limit < clusterMaxBody {
-			limit = clusterMaxBody
-		}
 		if r.Body != nil {
-			r.Body = http.MaxBytesReader(w, r.Body, limit)
+			r.Body = http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes)
 		}
 		next.ServeHTTP(w, r)
 	})

@@ -5,11 +5,17 @@
 // with a model version, so results computed under stale physics are
 // invalidated by bumping the version rather than by deleting files.
 //
-// Durability model:
+// Durability model (process crash only):
 //
 //   - Writes are atomic at the entry level: the payload is written to a
 //     temporary file in the store directory and renamed into place, so a
-//     reader (or a crash) never observes a half-written entry.
+//     reader, or a restart after the process is killed, never observes a
+//     half-written entry.
+//   - Put never fsyncs, so the guarantee stops at the process: a power
+//     loss or kernel crash can drop recently renamed entries (an accepted
+//     job record among them) or leave one truncated. The CRC and the
+//     quarantine below still keep any such entry from being served; it
+//     reads as a miss.
 //   - Reads verify a CRC over the payload; an entry that fails to decode
 //     is moved into a quarantine subdirectory and reported as a miss —
 //     corruption can cost a recomputation, never a panic or a poisoned
