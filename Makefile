@@ -115,16 +115,19 @@ goldencheck:
 	$(GO) test -count=1 -run Golden .
 
 # Fuzz smoke: a bounded run of each trace-facing fuzz target (the codec
-# round-trip, the text parser, and the llcsim replay loop) plus the
-# pruned-vs-exhaustive search differ and the packed-vs-reference cache
-# kernel differ. The corpora seeds cover the
-# parser-hardening cases; CI runs this on every push.
+# round-trip, the text parser, and the llcsim replay loop), the
+# pruned-vs-exhaustive search differ, the packed-vs-reference cache kernel
+# differ, and the store's record decoder and whole-log open/read path. The
+# corpora seeds cover the parser-hardening cases; CI runs this on every
+# push.
 fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzBinaryDecode -fuzztime 30s ./internal/trace/
 	$(GO) test -run '^$$' -fuzz FuzzTextRoundTrip -fuzztime 30s ./internal/trace/
 	$(GO) test -run '^$$' -fuzz FuzzReplay -fuzztime 30s ./cmd/llcsim/
 	$(GO) test -run '^$$' -fuzz FuzzOptimizeConfig -fuzztime 30s ./internal/array/
 	$(GO) test -run '^$$' -fuzz FuzzCacheMatchesReference -fuzztime 30s ./internal/sim/
+	$(GO) test -run '^$$' -fuzz FuzzDecodeEntry -fuzztime 30s ./internal/store/
+	$(GO) test -run '^$$' -fuzz FuzzStoreGetNeverPanics -fuzztime 30s ./internal/store/
 
 # Known-vulnerability scan. Skipped (with a pointer) when govulncheck is
 # not on PATH; the CI job installs it.

@@ -450,6 +450,7 @@ func Artifacts() *artifact.Registry[*Study] { return artifacts }
 // charged one evaluation.
 func ArtifactPoints(name string) []explorer.DesignPoint {
 	var pts []explorer.DesignPoint
+	var err error
 	switch name {
 	case "fig1":
 		for _, t := range cryo.EffectiveTemperatures() {
@@ -460,20 +461,25 @@ func ArtifactPoints(name string) []explorer.DesignPoint {
 	case "fig5":
 		pts = fig5Points()
 	case "fig6", "fig7":
-		envm, err := explorer.ENVMSweep()
-		if err != nil {
-			return nil
-		}
-		pts = envm
+		pts, err = explorer.ENVMSweep()
 	case "table2":
-		cands, err := explorer.TableIICandidates()
-		if err != nil {
-			return nil
-		}
-		pts = cands
+		pts, err = explorer.TableIICandidates()
 	case "cooling":
 		pts = []explorer.DesignPoint{explorer.EDRAMAt(tech.TempCryo77)}
+	case "coldtall":
+		pts, err = coldTallPoints()
+	case "reliability":
+		pts, err = reliabilityPoints()
+	case "gaincell":
+		pts, err = gainCellPoints()
+	case "deepcryo":
+		pts = deepCryoPoints()
+	case "freqsweep":
+		pts = freqSweepPoints()
 	default:
+		return nil
+	}
+	if err != nil {
 		return nil
 	}
 	pts = append(pts, explorer.Baseline())

@@ -49,7 +49,35 @@ func (s *Study) ColdAndTall(benchmark string) ([]ColdAndTallRow, error) {
 	if err != nil {
 		return nil, err
 	}
+	points, err := coldTallPoints()
+	if err != nil {
+		return nil, err
+	}
 	var rows []ColdAndTallRow
+	for _, p := range points {
+		ev, err := s.exp.Evaluate(p, tr)
+		if err != nil {
+			return nil, err
+		}
+		rel := explorer.Normalize(ev, base)
+		rows = append(rows, ColdAndTallRow{
+			Label:         p.Label,
+			Cell:          p.Cell.Tech.String(),
+			Dies:          p.Dies,
+			TemperatureK:  p.Temperature,
+			Benchmark:     benchmark,
+			RelTotalPower: rel.RelPower,
+			RelLatency:    rel.RelLatency,
+			RelArea:       rel.RelArea,
+		})
+	}
+	return rows, nil
+}
+
+// coldTallPoints is ColdAndTall's grid, in row order: each volatile cell at
+// 1, 2, 4 and 8 TSV-stacked dies, each at 350 K then 77 K.
+func coldTallPoints() ([]explorer.DesignPoint, error) {
+	var pts []explorer.DesignPoint
 	for _, tc := range []cell.Technology{cell.SRAM, cell.EDRAM3T} {
 		c, err := cell.Builtin(tc)
 		if err != nil {
@@ -57,32 +85,17 @@ func (s *Study) ColdAndTall(benchmark string) ([]ColdAndTallRow, error) {
 		}
 		for _, dies := range []int{1, 2, 4, 8} {
 			for _, temp := range []float64{tech.TempHot350, tech.TempCryo77} {
-				p := explorer.DesignPoint{
+				pts = append(pts, explorer.DesignPoint{
 					Label:       fmt.Sprintf("%d-die %s @%.0fK", dies, tc, temp),
 					Cell:        c,
 					Temperature: temp,
 					Dies:        dies,
 					Style:       stack.TSVStack,
-				}
-				ev, err := s.exp.Evaluate(p, tr)
-				if err != nil {
-					return nil, err
-				}
-				rel := explorer.Normalize(ev, base)
-				rows = append(rows, ColdAndTallRow{
-					Label:         p.Label,
-					Cell:          tc.String(),
-					Dies:          dies,
-					TemperatureK:  temp,
-					Benchmark:     benchmark,
-					RelTotalPower: rel.RelPower,
-					RelLatency:    rel.RelLatency,
-					RelArea:       rel.RelArea,
 				})
 			}
 		}
 	}
-	return rows, nil
+	return pts, nil
 }
 
 // ColdAndTallBest returns, for one benchmark, the combined-study winner by

@@ -15,6 +15,7 @@ import (
 	"fmt"
 	"sort"
 	"strings"
+	"sync"
 
 	"coldtall"
 	"coldtall/internal/explorer"
@@ -141,6 +142,17 @@ const SweepGridLimit = 64
 // benchmark list expands to.
 var staticBenchmarks = len(workload.StaticTraffic())
 
+// artifactCosts is each registry artifact's point count. The counts never
+// change, and the artifact handler prices every request, cache hits
+// included, so they are enumerated once.
+var artifactCosts = sync.OnceValue(func() map[string]int {
+	costs := map[string]int{}
+	for _, d := range coldtall.Artifacts().Descriptors() {
+		costs[d.Name] = len(coldtall.ArtifactPoints(d.Name))
+	}
+	return costs
+})
+
 // Cost is the spec's size in design-point evaluations, the unit tenant
 // budgets are charged in: one per grid cell for a sweep (all static
 // benchmarks when the list is empty), the points its renderer enumerates
@@ -157,7 +169,7 @@ func (sp Spec) Cost() int {
 	case KindArtifact:
 		// Already-cached characterizations make the real work cheaper,
 		// never dearer.
-		if n := len(coldtall.ArtifactPoints(sp.Artifact)); n > 0 {
+		if n := artifactCosts()[sp.Artifact]; n > 0 {
 			return n
 		}
 	}

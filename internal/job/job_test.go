@@ -11,7 +11,8 @@ import (
 // evaluations a tenant budget is charged for a spec, for every registry
 // artifact and each request shape. The artifact counts come from
 // coldtall.ArtifactPoints (its points plus the 350 K SRAM baseline, deduped);
-// artifacts with no enumerable grid cost one.
+// artifacts with no enumerable grid cost one. TestSpecCostCoversBuild ties
+// these to the work each build really does.
 func TestSpecCostPinned(t *testing.T) {
 	artifactCost := map[string]int{
 		"fig1":        8,
@@ -23,11 +24,11 @@ func TestSpecCostPinned(t *testing.T) {
 		"table1":      1,
 		"table2":      18,
 		"cooling":     2,
-		"coldtall":    1,
-		"reliability": 1,
-		"gaincell":    1,
-		"deepcryo":    1,
-		"freqsweep":   1,
+		"coldtall":    16,
+		"reliability": 6,
+		"gaincell":    22,
+		"deepcryo":    19,
+		"freqsweep":   10,
 		"wlsig":       1,
 	}
 	descs := coldtall.Artifacts().Descriptors()
@@ -62,6 +63,23 @@ func TestSpecCostPinned(t *testing.T) {
 	} {
 		if got := tc.spec.Cost(); got != tc.want {
 			t.Errorf("%s: Cost() = %d, want %d", tc.name, got, tc.want)
+		}
+	}
+}
+
+// TestSpecCostCoversBuild: a tenant is charged at least the optimizer
+// calls an artifact's cold build makes — Spec.Cost never under-counts the
+// characterizations a request can trigger.
+func TestSpecCostCoversBuild(t *testing.T) {
+	for _, d := range coldtall.Artifacts().Descriptors() {
+		study := coldtall.NewStudy()
+		study.SetParallelism(1)
+		if _, err := study.ArtifactTable(d.Name); err != nil {
+			t.Fatalf("%s: %v", d.Name, err)
+		}
+		calls := study.Explorer().OptimizeCalls()
+		if cost := (Spec{Kind: KindArtifact, Artifact: d.Name}).Cost(); int64(cost) < int64(calls) {
+			t.Errorf("artifact %q: Cost() = %d, but a cold serial build ran the optimizer %d times", d.Name, cost, calls)
 		}
 	}
 }

@@ -2,7 +2,8 @@ package server
 
 import (
 	"bytes"
-	"encoding/gob"
+	"encoding/binary"
+	"math"
 	"strings"
 
 	"coldtall/internal/array"
@@ -37,9 +38,9 @@ func (t respTier) Store(key string, v []byte) {
 }
 
 // charStore adapts the store to the explorer's ResultStore hook:
-// characterizations are gob-encoded (JSON cannot carry the +Inf retention
-// of static cells) under char| + the canonical design-point key, stamped
-// with explorer.ModelVersion by the store itself.
+// characterizations are stored in encodeResult's binary form under char| +
+// the canonical design-point key, stamped with explorer.ModelVersion by the
+// store itself.
 type charStore struct{ st *store.Store }
 
 func (c charStore) Load(key string) (array.Result, bool) {
@@ -47,19 +48,84 @@ func (c charStore) Load(key string) (array.Result, bool) {
 	if !ok {
 		return array.Result{}, false
 	}
-	var r array.Result
-	if err := gob.NewDecoder(bytes.NewReader(raw)).Decode(&r); err != nil {
-		return array.Result{}, false
-	}
-	return r, true
+	return decodeResult(raw)
 }
 
 func (c charStore) Save(key string, r array.Result) {
-	var b bytes.Buffer
-	if err := gob.NewEncoder(&b).Encode(r); err != nil {
-		return
+	_ = c.st.Put(charPrefix+key, encodeResult(r))
+}
+
+// resultMagic opens every encoded characterization. Entries written in an
+// older encoding (gob) lack it, decode as a miss and are recomputed.
+const resultMagic = "ctres/1\n"
+
+// resultInts and resultFloats list a Result's fields in their one encoded
+// order, shared by the encoder and the decoder. A field missing here is
+// caught by the round-trip test, which fills every field by reflection.
+func resultInts(r *array.Result) [5]*int {
+	return [...]*int{&r.Org.Banks, &r.Org.Rows, &r.Org.Cols, &r.Org.ColumnMux, &r.Dies}
+}
+
+func resultFloats(r *array.Result) [35]*float64 {
+	rp, wp := &r.ReadParts, &r.WriteParts
+	return [...]*float64{
+		&r.Temperature, &r.ReadLatency, &r.WriteLatency, &r.RandomCycle, &r.BandwidthAccesses,
+		&r.ReadEnergy, &r.WriteEnergy, &r.ReadEnergyPerBit, &r.WriteEnergyPerBit,
+		&r.LeakagePower, &r.RefreshPower, &r.RefreshOccupancy, &r.Retention,
+		&r.FootprintM2, &r.TotalSiliconM2, &r.CellAreaM2, &r.ArrayEfficiency,
+		&rp.HTreeRequest, &rp.InBankRoute, &rp.Vertical, &rp.Decode, &rp.Wordline,
+		&rp.BitlineSense, &rp.ColumnMux, &rp.HTreeReply, &rp.WritePulse,
+		&wp.HTreeRequest, &wp.InBankRoute, &wp.Vertical, &wp.Decode, &wp.Wordline,
+		&wp.BitlineSense, &wp.ColumnMux, &wp.HTreeReply, &wp.WritePulse,
 	}
-	_ = c.st.Put(charPrefix+key, b.Bytes())
+}
+
+// encodeResult is the fixed field-order binary form of a characterization:
+// the magic, the integers as varints, the cell name length-prefixed, then
+// every float64 as its IEEE-754 bits, so ±Inf (the retention of static
+// cells) and NaN round-trip bit-exactly — JSON cannot carry them.
+func encodeResult(r array.Result) []byte {
+	b := make([]byte, 0, len(resultMagic)+5*binary.MaxVarintLen64+binary.MaxVarintLen64+len(r.CellName)+35*8)
+	b = append(b, resultMagic...)
+	for _, p := range resultInts(&r) {
+		b = binary.AppendVarint(b, int64(*p))
+	}
+	b = binary.AppendUvarint(b, uint64(len(r.CellName)))
+	b = append(b, r.CellName...)
+	for _, p := range resultFloats(&r) {
+		b = binary.LittleEndian.AppendUint64(b, math.Float64bits(*p))
+	}
+	return b
+}
+
+// decodeResult inverts encodeResult. Any other input — an older encoding,
+// a truncated or padded one — reports false.
+func decodeResult(raw []byte) (array.Result, bool) {
+	var r array.Result
+	rest, ok := bytes.CutPrefix(raw, []byte(resultMagic))
+	if !ok {
+		return r, false
+	}
+	for _, p := range resultInts(&r) {
+		v, n := binary.Varint(rest)
+		if n <= 0 {
+			return array.Result{}, false
+		}
+		*p, rest = int(v), rest[n:]
+	}
+	l, n := binary.Uvarint(rest)
+	if n <= 0 || l > uint64(len(rest)-n) {
+		return array.Result{}, false
+	}
+	r.CellName, rest = string(rest[n:n+int(l)]), rest[n+int(l):]
+	floats := resultFloats(&r)
+	if len(rest) != 8*len(floats) {
+		return array.Result{}, false
+	}
+	for i, p := range floats {
+		*p = math.Float64frombits(binary.LittleEndian.Uint64(rest[8*i:]))
+	}
+	return r, true
 }
 
 // warmCache replays persisted response bodies into the LRU at boot (Seed:

@@ -3,6 +3,7 @@ package store
 import (
 	"bytes"
 	"os"
+	"path/filepath"
 	"testing"
 )
 
@@ -32,43 +33,65 @@ func FuzzDecodeEntry(f *testing.F) {
 	})
 }
 
-// FuzzStoreGetNeverPanics drops arbitrary bytes where an entry file would
-// live and asserts the read path quarantines rather than panics, and that
-// the slot remains usable afterwards (the cache is never poisoned).
+// FuzzStoreGetNeverPanics writes arbitrary bytes as the store's log and
+// opens it. Open must succeed, and Open, Get and Walk must never panic and
+// never serve a payload that is not a whole, CRC-valid, same-version
+// record of that key somewhere in the input. The store must then take a
+// write and serve it back across a restart (the log is never poisoned).
 func FuzzStoreGetNeverPanics(f *testing.F) {
+	const key = "the-key"
+	var log []byte
+	for _, rec := range [][]byte{
+		encodeEntry("v1", key, []byte("fine")),
+		encodeEntry("v1", "other", []byte("also fine")),
+		encodeEntry("", key, func() []byte { h := hashKey(key); return h[:] }()),
+		encodeEntry("v1", key, []byte("again")),
+	} {
+		log = append(log, rec...)
+	}
+	f.Add(log)
+	f.Add(log[:len(log)-3])
+	f.Add(append(bytes.Clone(log), "garbage"...))
 	f.Add([]byte("total garbage"))
-	f.Add(encodeEntry("v1", "the-key", []byte("fine")))
-	f.Add(encodeEntry("other-version", "the-key", []byte("stale")))
-	f.Add(encodeEntry("v1", "wrong-key", []byte("misfiled")))
+	f.Add(encodeEntry("other-version", key, []byte("stale")))
+	f.Add(encodeEntry("", key, []byte("short tombstone")))
 	f.Add([]byte{})
+	f.Add(append(append([]byte("coldtall-store/1\ngarbage\n"), log...), encodeEntry("v1", key, []byte("after damage"))...))
 	f.Fuzz(func(t *testing.T, raw []byte) {
 		dir := t.TempDir()
+		if err := os.WriteFile(filepath.Join(dir, logName), raw, 0o644); err != nil {
+			t.Fatal(err)
+		}
 		s, err := Open(dir, Options{Version: "v1"})
 		if err != nil {
-			t.Fatal(err)
+			t.Fatalf("open on fuzzed log: %v", err)
 		}
-		const key = "the-key"
-		if err := os.WriteFile(s.fileFor(key), raw, 0o644); err != nil {
-			t.Fatal(err)
-		}
-		if v, ok := s.Get(key); ok {
-			// Only a well-formed same-version entry for this exact key may
-			// be served, and then it must carry the encoded payload.
-			version, gotKey, val, err := decodeEntry(raw)
-			if err != nil || version != "v1" || gotKey != key || !bytes.Equal(v, val) {
-				t.Fatalf("Get served %q from raw %q", v, raw)
+		vouched := func(k string, v []byte) {
+			if !bytes.Contains(raw, encodeEntry("v1", k, v)) {
+				t.Fatalf("served %q = %q, which no record in the input carries", k, v)
 			}
 		}
-		if err := s.Walk("", func(string, []byte) error { return nil }); err != nil {
-			t.Fatalf("walk errored on fuzzed entry: %v", err)
+		if v, ok := s.Get(key); ok {
+			vouched(key, v)
 		}
-		// The slot must be clean for a recompute regardless of what the
-		// fuzzer left there.
+		if err := s.Walk("", func(k string, v []byte) error {
+			vouched(k, v)
+			return nil
+		}); err != nil {
+			t.Fatalf("walk errored on fuzzed log: %v", err)
+		}
 		if err := s.Put(key, []byte("recomputed")); err != nil {
 			t.Fatal(err)
 		}
 		if v, ok := s.Get(key); !ok || string(v) != "recomputed" {
-			t.Fatalf("slot poisoned after fuzzed entry: %q, %v", v, ok)
+			t.Fatalf("slot poisoned after fuzzed log: %q, %v", v, ok)
+		}
+		r, err := Open(dir, Options{Version: "v1"})
+		if err != nil {
+			t.Fatalf("reopen after fuzzed log: %v", err)
+		}
+		if v, ok := r.Get(key); !ok || string(v) != "recomputed" {
+			t.Fatalf("write lost across restart after fuzzed log: %q, %v", v, ok)
 		}
 	})
 }

@@ -31,16 +31,9 @@ type ReliabilityRow struct {
 // ReliabilityStudy analyzes the main Table II candidates under each band's
 // representative write stream.
 func (s *Study) ReliabilityStudy() ([]ReliabilityRow, error) {
-	points := []explorer.DesignPoint{
-		explorer.EDRAMAt(tech.TempHot350),
-		explorer.EDRAMAt(tech.TempCryo77),
-	}
-	for _, tc := range []cell.Technology{cell.PCM, cell.STTRAM, cell.RRAM} {
-		p, err := explorer.Stacked(tc, cell.Optimistic, 4)
-		if err != nil {
-			return nil, err
-		}
-		points = append(points, p)
+	points, err := reliabilityPoints()
+	if err != nil {
+		return nil, err
 	}
 	bands := workload.Bands()
 	return parallel.Map(len(bands)*len(points), s.parallelism, func(i int) (ReliabilityRow, error) {
@@ -66,4 +59,21 @@ func (s *Study) ReliabilityStudy() ([]ReliabilityRow, error) {
 			RetentionWeakBits: r.RetentionWeakBitsPerRefresh,
 		}, nil
 	})
+}
+
+// reliabilityPoints is ReliabilityStudy's candidates: 3T-eDRAM at 350 K
+// and 77 K, and each optimistic eNVM stacked four high.
+func reliabilityPoints() ([]explorer.DesignPoint, error) {
+	points := []explorer.DesignPoint{
+		explorer.EDRAMAt(tech.TempHot350),
+		explorer.EDRAMAt(tech.TempCryo77),
+	}
+	for _, tc := range []cell.Technology{cell.PCM, cell.STTRAM, cell.RRAM} {
+		p, err := explorer.Stacked(tc, cell.Optimistic, 4)
+		if err != nil {
+			return nil, err
+		}
+		points = append(points, p)
+	}
+	return points, nil
 }

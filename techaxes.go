@@ -150,14 +150,7 @@ func (s *Study) DeepCryoSweep() ([]DeepCryoRow, error) {
 	if err != nil {
 		return nil, err
 	}
-	temps := cryo.DeepTemperatures()
-	mks := []func(float64) explorer.DesignPoint{explorer.SRAMAt, explorer.EDRAMAt}
-	sweep := make([]explorer.DesignPoint, 0, len(temps)*len(mks))
-	for _, temp := range temps {
-		for _, mk := range mks {
-			sweep = append(sweep, mk(temp))
-		}
-	}
+	sweep := deepCryoPoints()
 	if err := s.exp.WarmFamiliesContext(s.context(), sweep); err != nil {
 		return nil, err
 	}
@@ -182,6 +175,20 @@ func (s *Study) DeepCryoSweep() ([]DeepCryoRow, error) {
 			RelLatency:     rel.RelLatency,
 		}, nil
 	})
+}
+
+// deepCryoPoints is DeepCryoSweep's grid: SRAM then 3T-eDRAM at each deep
+// cryogenic temperature.
+func deepCryoPoints() []explorer.DesignPoint {
+	temps := cryo.DeepTemperatures()
+	mks := []func(float64) explorer.DesignPoint{explorer.SRAMAt, explorer.EDRAMAt}
+	sweep := make([]explorer.DesignPoint, 0, len(temps)*len(mks))
+	for _, temp := range temps {
+		for _, mk := range mks {
+			sweep = append(sweep, mk(temp))
+		}
+	}
+	return sweep
 }
 
 // FreqRow is one (design point, frequency) cell of the frequency sweep.
@@ -211,6 +218,24 @@ func SweepFrequencies() []float64 {
 	return []float64{1e9, 2.5e9, 5e9, 7.5e9, 1e10}
 }
 
+// freqSweepPoints is FrequencySweep's grid: the 350 K SRAM incumbent, then
+// the 77 K 3T-eDRAM point, each at every SweepFrequencies clock.
+func freqSweepPoints() []explorer.DesignPoint {
+	bases := []explorer.DesignPoint{
+		explorer.SRAMAt(tech.TempHot350),
+		explorer.EDRAMAt(tech.TempCryo77),
+	}
+	var points []explorer.DesignPoint
+	for _, bp := range bases {
+		for _, f := range SweepFrequencies() {
+			p := bp
+			p.FrequencyHz = f
+			points = append(points, p)
+		}
+	}
+	return points
+}
+
 // FrequencySweep evaluates the 350 K SRAM incumbent and the 77 K 3T-eDRAM
 // cryogenic point across core clocks under the mcf workload (the
 // read-traffic maximum, where LLC latency moves the CPU most). Per-point
@@ -235,19 +260,7 @@ func (s *Study) FrequencySweep() ([]FreqRow, error) {
 	if err != nil {
 		return nil, err
 	}
-	bases := []explorer.DesignPoint{
-		explorer.SRAMAt(tech.TempHot350),
-		explorer.EDRAMAt(tech.TempCryo77),
-	}
-	freqs := SweepFrequencies()
-	var points []explorer.DesignPoint
-	for _, bp := range bases {
-		for _, f := range freqs {
-			p := bp
-			p.FrequencyHz = f
-			points = append(points, p)
-		}
-	}
+	points := freqSweepPoints()
 	if err := s.exp.WarmFamiliesContext(s.context(), points); err != nil {
 		return nil, err
 	}
